@@ -17,11 +17,11 @@
 //! reconvergence step, writes `BENCH_churn_smoke.json`, and exits
 //! non-zero on any transient violation, full-table recompute, failed
 //! exchange, or conservation leak. `--scale-smoke` runs the measured
-//! 10⁵-node partitioned world plus a quick executor-equivalence check,
-//! writes `BENCH_scale_smoke.json`, and exits non-zero if the event
-//! rate falls under the floor, any cross-shard frame leaks, or the two
-//! executors' snapshots diverge by a single byte. All are used by CI as
-//! bitrot guards.
+//! 10⁵-node partitioned world plus the full-stack mirror-equivalence
+//! check, writes `BENCH_scale_smoke.json`, and exits non-zero if the
+//! event rate falls under the floor, any cross-shard frame leaks, or the
+//! partitioned snapshot diverges from the single queue's by a single
+//! byte. All are used by CI as bitrot guards.
 
 use gridtopo::BackpressureMode;
 use padico_bench::fullstack::{
@@ -29,9 +29,9 @@ use padico_bench::fullstack::{
     MirrorConfig, RingConfig, WindowMode,
 };
 use padico_bench::{
-    churn_json_row, churn_run, churn_snapshot, churn_sweep, conservation_violations,
-    failover_metrics, failover_run, failover_sweep, incast_run, incast_sweep, multi_site_sweep,
-    scale_json_section, scale_run, write_multi_site_json, Executor, ScaleConfig,
+    churn_json_row, churn_run, churn_sweep, conservation_violations, failover_metrics,
+    failover_run, failover_sweep, incast_run, incast_sweep, multi_site_sweep, scale_json_section,
+    scale_run, write_multi_site_json, ScaleConfig,
 };
 
 /// Minimum events per wall-clock second the 10⁵-node scale smoke must
@@ -42,11 +42,6 @@ const SCALE_EVENTS_PER_SEC_FLOOR: f64 = 50_000.0;
 /// Lower than the synthetic floor: every event here runs real selector,
 /// relay and credit machinery, and CI builds the smoke lane in debug.
 const FULLSTACK_EVENTS_PER_SEC_FLOOR: f64 = 10_000.0;
-
-/// Executor-internal bookkeeping keys excluded from byte-identity
-/// comparisons — lane layout legitimately differs between queue
-/// organizations while all observable telemetry must not.
-const EXEC_KEYS: &[&str] = &["sim.executor."];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -87,17 +82,6 @@ fn main() {
             );
             failed = true;
         }
-        // Quick executor-equivalence gate on a seeded CI scenario: the
-        // sharded-merge executor must be byte-identical to the single
-        // queue (the full seed sweep runs in tests/executor_equivalence.rs).
-        let single = churn_snapshot(3, 2, 0xC09E, Executor::Single).to_json_excluding(EXEC_KEYS);
-        let sharded =
-            churn_snapshot(3, 2, 0xC09E, Executor::ShardedMerge).to_json_excluding(EXEC_KEYS);
-        if single != sharded {
-            eprintln!("FAIL: sharded-merge executor diverged from the single queue");
-            failed = true;
-        }
-
         // Full-stack partitioned scenario: the real relay/credit/selector
         // machinery sharded per site must be byte-identical to the single
         // queue, conserve every cross-boundary frame, and hold the same
@@ -312,8 +296,9 @@ fn main() {
         }
         // Cross-shard conservation on a partitioned full-stack run: every
         // frame one shard world emits across the boundary must be injected
-        // into exactly one other world (Σout == Σin), and the *merged*
-        // snapshot must conserve credits and frames across the cut.
+        // into exactly one other world (Σ `sim.executor.cross_out` ==
+        // Σ `sim.executor.cross_in` over the shard worlds), and the
+        // *merged* snapshot must conserve credits and frames across the cut.
         let eq = mirror_equivalence(&MirrorConfig::smoke());
         println!(
             "cross-shard conservation: {} out / {} in across the boundary",

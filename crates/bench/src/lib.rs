@@ -17,11 +17,10 @@ pub mod scale;
 
 pub use experiments::*;
 pub use multi_site::{
-    churn_json_row, churn_run, churn_shard_report, churn_snapshot, churn_sweep,
-    conservation_violations, failover_metrics, failover_run, failover_snapshot, failover_sweep,
-    incast_run, incast_snapshot, incast_sweep, multi_site_json, multi_site_run, multi_site_sweep,
-    write_multi_site_json, ChurnResult, Executor, FailoverResult, IncastResult, MultiSiteResult,
-    ShardChurnReport,
+    churn_json_row, churn_run, churn_snapshot, churn_sweep, conservation_violations,
+    failover_metrics, failover_run, failover_snapshot, failover_sweep, incast_run, incast_snapshot,
+    incast_sweep, multi_site_json, multi_site_run, multi_site_sweep, write_multi_site_json,
+    ChurnResult, FailoverResult, IncastResult, MultiSiteResult,
 };
 pub use scale::{scale_json_section, scale_run, ScaleConfig, ScaleResult};
 

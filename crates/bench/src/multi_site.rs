@@ -23,40 +23,7 @@ use padico_core::{
     admit_site_live, apply_backbone_delta, drain_site_live, runtimes_for_grid, PadicoRuntime,
     SelectorPreferences, VLink, VLinkEvent,
 };
-use simnet::{MetricsSnapshot, NetworkSpec, NodeId, ShardStats, SimDuration, SimWorld};
-
-/// Which event-queue executor a scenario runs under.
-///
-/// `Single` is the classic one-heap queue; `ShardedMerge` splits the
-/// queue into per-site timer-wheel lanes (lane 0 = control) merged at
-/// pop time. The merge pops the global `(time, seq)` minimum, so a
-/// sharded run is required to be **bit-for-bit identical** to the
-/// single-queue run — `tests/executor_equivalence.rs` holds every
-/// seeded scenario to byte-identical [`MetricsSnapshot`] JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// The single global event queue.
-    Single,
-    /// Per-site sharded lanes behind the merging executor.
-    ShardedMerge,
-}
-
-impl Executor {
-    /// Lowercase label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Executor::Single => "single",
-            Executor::ShardedMerge => "sharded",
-        }
-    }
-
-    /// Applies this executor to a freshly built grid world.
-    fn apply(self, world: &mut SimWorld, grid: &GridTopology) {
-        if self == Executor::ShardedMerge {
-            padico_core::enable_site_sharding(world, grid);
-        }
-    }
-}
+use simnet::{MetricsSnapshot, NetworkSpec, NodeId, SimDuration, SimWorld};
 
 /// Backbone layout of a multi-site run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,30 +258,28 @@ const INCAST_MAX_ROUNDS: u64 = 64;
 /// `credit` mode the senders park on gateway credits and everything
 /// arrives in one pass.
 pub fn incast_run(senders: usize, frames_per_sender: u64, mode: BackpressureMode) -> IncastResult {
-    incast_case(senders, frames_per_sender, mode, 4242, Executor::Single).0
+    incast_case(senders, frames_per_sender, mode, 4242).0
 }
 
 /// The telemetry snapshot of one quiesced incast run under the given
-/// seed and executor — the executor-equivalence surface for this
-/// scenario (two executors, same seed ⇒ byte-identical JSON).
+/// seed — the byte-identity surface for this scenario (same seed ⇒
+/// byte-identical JSON, before and after any refactor underneath).
 pub fn incast_snapshot(
     senders: usize,
     frames_per_sender: u64,
     mode: BackpressureMode,
     seed: u64,
-    exec: Executor,
 ) -> MetricsSnapshot {
-    incast_case(senders, frames_per_sender, mode, seed, exec).1
+    incast_case(senders, frames_per_sender, mode, seed).1
 }
 
-/// [`incast_run`] parameterized by world seed and executor; also scrapes
-/// the metrics snapshot at quiescence.
+/// [`incast_run`] parameterized by world seed; also scrapes the metrics
+/// snapshot at quiescence.
 fn incast_case(
     senders: usize,
     frames_per_sender: u64,
     mode: BackpressureMode,
     seed: u64,
-    exec: Executor,
 ) -> (IncastResult, MetricsSnapshot) {
     assert!(senders >= 1 && frames_per_sender >= 1);
     let wall = Instant::now();
@@ -327,7 +292,6 @@ fn incast_case(
         ],
         NetworkSpec::vthd_wan(),
     );
-    exec.apply(&mut world, &grid);
     // Each frame occupies the gateway's bounded memory for its 1 ms
     // store-and-forward hold while SAN arrivals land every few µs: the
     // entry gateway queue is the incast bottleneck (drops in `drop` mode,
@@ -509,25 +473,24 @@ struct FailoverCaseOut {
 /// metrics the failover itself produces. The prelude fully drains before
 /// the streams start, so it never overlaps the measured recovery.
 fn failover_case(senders: usize, baseline: bool, instrument: bool) -> FailoverCaseOut {
-    failover_case_seeded(senders, baseline, instrument, 0xFA17, Executor::Single)
+    failover_case_seeded(senders, baseline, instrument, 0xFA17)
 }
 
 /// The telemetry snapshot of one quiesced *faulted* failover run
 /// (gateway killed mid-transfer, no instrumentation prelude) under the
-/// given seed and executor, plus its exact-delivery verdict — the
-/// executor-equivalence surface for this scenario.
-pub fn failover_snapshot(senders: usize, seed: u64, exec: Executor) -> (MetricsSnapshot, bool) {
-    let out = failover_case_seeded(senders, false, false, seed, exec);
+/// given seed, plus its exact-delivery verdict — the byte-identity
+/// surface for this scenario.
+pub fn failover_snapshot(senders: usize, seed: u64) -> (MetricsSnapshot, bool) {
+    let out = failover_case_seeded(senders, false, false, seed);
     (out.metrics, out.completed)
 }
 
-/// [`failover_case`] parameterized by world seed and executor.
+/// [`failover_case`] parameterized by world seed.
 fn failover_case_seeded(
     senders: usize,
     baseline: bool,
     instrument: bool,
     seed: u64,
-    exec: Executor,
 ) -> FailoverCaseOut {
     use padico_core::PadicoRuntime;
 
@@ -543,7 +506,6 @@ fn failover_case_seeded(
         NetworkSpec::vthd_wan(),
         NetworkSpec::vthd_wan(),
     );
-    exec.apply(&mut world, &grid);
     let prefs = SelectorPreferences {
         relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
@@ -789,8 +751,6 @@ pub fn failover_metrics(senders: usize) -> (MetricsSnapshot, bool, Option<f64>, 
 ///   (lossless backbones — nothing vanishes without a drop counter);
 /// * per simulated network, frames dropped + unclaimed ≤ frames sent
 ///   (a fabric can only lose what actually entered it);
-/// * across the sharded executor's lanes, Σ cross-lane departures ==
-///   Σ cross-lane arrivals (every relayed event lands exactly once);
 /// * no frame left parked on gateway credits;
 /// * no stream left parked on trunk memory, and no received byte left
 ///   unconsumed in trunk receive buffers.
@@ -857,26 +817,6 @@ pub fn conservation_violations(snap: &MetricsSnapshot) -> Vec<String> {
                  + unclaimed {unclaimed} > sent {sent}"
             ));
         }
-    }
-
-    // Cross-lane event conservation in the sharded executor: departures
-    // and arrivals are incremented pairwise, so over all lanes they must
-    // balance exactly. (Only the lane-labelled counters participate: the
-    // partitioned executor's unlabelled cross_in/cross_out settle against
-    // *other shards'* snapshots, not this one.)
-    let lane_cross_in: u64 = snap
-        .with_prefix("sim.executor.cross_in{")
-        .filter_map(|(k, _)| snap.counter(k))
-        .sum();
-    let lane_cross_out: u64 = snap
-        .with_prefix("sim.executor.cross_out{")
-        .filter_map(|(k, _)| snap.counter(k))
-        .sum();
-    if lane_cross_in != lane_cross_out {
-        violations.push(format!(
-            "cross-lane event leak in the sharded executor: \
-             {lane_cross_out} departures != {lane_cross_in} arrivals"
-        ));
     }
 
     // Trunk memory fully drained: nothing parked, nothing buffered.
@@ -1016,52 +956,19 @@ fn pairs_disrupted(grid: &GridTopology, pristine: &gridtopo::GridRoutes) -> usiz
 /// every step, then admits a fresh site live, exchanges with it, and
 /// drains it again. Deterministic in its arguments.
 pub fn churn_run(sites: usize, flaps: usize) -> ChurnResult {
-    churn_case(sites, flaps, 0xC09E, Executor::Single).0
+    churn_case(sites, flaps, 0xC09E).0
 }
 
 /// The telemetry snapshot of one quiesced churn run under the given
-/// seed and executor — the executor-equivalence surface for this
-/// scenario. The seed drives both the world RNG and the flap schedule.
-pub fn churn_snapshot(sites: usize, flaps: usize, seed: u64, exec: Executor) -> MetricsSnapshot {
-    churn_case(sites, flaps, seed, exec).1
+/// seed — the byte-identity surface for this scenario. The seed drives
+/// both the world RNG and the flap schedule.
+pub fn churn_snapshot(sites: usize, flaps: usize, seed: u64) -> MetricsSnapshot {
+    churn_case(sites, flaps, seed).1
 }
 
-/// Cross-shard accounting of one *sharded* churn run — the surface the
-/// cross-shard conservation test drives: frames crossing gateway
-/// boundaries during churn must conserve exactly, per shard.
-#[derive(Debug, Clone)]
-pub struct ShardChurnReport {
-    /// The churn verdicts themselves.
-    pub result: ChurnResult,
-    /// Human-readable conservation violations from the quiesced
-    /// snapshot (per-gateway credits, fabric frames, parked leftovers).
-    pub violations: Vec<String>,
-    /// Per-lane executor counters (lane 0 = control, lane i+1 = site i).
-    pub shard: ShardStats,
-    /// The quiesced telemetry snapshot, for frame-conservation checks.
-    pub snapshot: MetricsSnapshot,
-}
-
-/// Runs one churn measurement under the sharded-merge executor and
-/// returns the per-shard accounting alongside the verdicts.
-pub fn churn_shard_report(sites: usize, flaps: usize, seed: u64) -> ShardChurnReport {
-    let (result, snapshot, shard) = churn_case(sites, flaps, seed, Executor::ShardedMerge);
-    ShardChurnReport {
-        result,
-        violations: conservation_violations(&snapshot),
-        shard: shard.expect("sharded churn run must expose shard stats"),
-        snapshot,
-    }
-}
-
-/// [`churn_run`] parameterized by seed and executor; also scrapes the
-/// metrics snapshot and (when sharded) the per-lane counters.
-fn churn_case(
-    sites: usize,
-    flaps: usize,
-    seed: u64,
-    exec: Executor,
-) -> (ChurnResult, MetricsSnapshot, Option<ShardStats>) {
+/// [`churn_run`] parameterized by seed; also scrapes the metrics
+/// snapshot at quiescence.
+fn churn_case(sites: usize, flaps: usize, seed: u64) -> (ChurnResult, MetricsSnapshot) {
     assert!(sites >= 3, "a ring needs 3+ sites");
     let wall = Instant::now();
     let mut world = SimWorld::new(seed);
@@ -1069,7 +976,6 @@ fn churn_case(
         .map(|i| SiteSpec::san_cluster(format!("s{i}"), 3).with_gateways(2))
         .collect();
     let mut grid = GridTopology::ring(&mut world, &specs, NetworkSpec::vthd_wan());
-    exec.apply(&mut world, &grid);
     let prefs = SelectorPreferences {
         relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
@@ -1150,7 +1056,7 @@ fn churn_case(
         conservation_violations: conservation,
         events_per_sec: world.stats.events_executed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
     };
-    (result, snap, world.shard_stats().cloned())
+    (result, snap)
 }
 
 /// The churn sweep: ring size × fixed flap count.
@@ -1453,7 +1359,7 @@ mod tests {
 
     #[test]
     fn churn_run_is_transient_safe_and_conserves() {
-        let r = churn_run(4, 4);
+        let (r, snap) = churn_case(4, 4, 0xC09E);
         assert_eq!(r.steps, 8, "4 flap pairs = 8 deltas: {r:?}");
         assert_eq!(r.transient_violations, 0, "{r:?}");
         assert_eq!(
@@ -1463,6 +1369,10 @@ mod tests {
         assert!(r.exchanges_ok, "traffic must flow at every probe: {r:?}");
         assert!(r.trunks_retired > 0, "the drain retires trunks: {r:?}");
         assert_eq!(r.conservation_violations, 0, "{r:?}");
+        assert!(
+            snap.counter_total("sim.net.frames_sent") > 0,
+            "churn must put frames on the wire (the gates above are not vacuous)"
+        );
         assert!(
             r.pairs_disrupted_max > 0,
             "churn must actually disrupt some routes: {r:?}"

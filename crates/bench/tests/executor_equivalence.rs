@@ -1,115 +1,16 @@
-//! Executor equivalence: every seeded CI scenario must produce
-//! **byte-identical** telemetry under the single-queue executor and the
-//! per-site sharded-merge executor.
+//! Executor equivalence: the partitioned executor must produce
+//! **byte-identical** telemetry to the single-queue executor.
 //!
-//! This is the contract that makes the sharded executor droppable into
-//! CI: sharding only changes how the event queue is organized — pops
-//! still come out in global `(time, seq)` order, so the RNG stream, the
-//! delivery order and every counter are bit-for-bit the same. The
+//! Partitioning only changes which world executes a node — each shard
+//! world pops its own ordinary queue in `(time, seq)` order and frames
+//! cross the cut at their true delivery time, so the delivery order and
+//! every counter are bit-for-bit the same. The
 //! comparison is on `MetricsSnapshot::to_json_excluding(&["sim.executor."])`
 //! output, which covers the full metric namespace of a quiesced run;
-//! only the executor's own bookkeeping (`sim.executor.*` — lanes,
-//! cross-lane counters, shard ids) legitimately differs between queue
-//! organizations and is excluded.
+//! only the shard worlds' own cut bookkeeping (`sim.executor.*`) has no
+//! single-queue counterpart and is excluded.
 
-use gridtopo::BackpressureMode;
 use padico_bench::fullstack::{mirror_equivalence, MirrorConfig};
-use padico_bench::{
-    churn_shard_report, churn_snapshot, failover_snapshot, incast_snapshot, Executor,
-};
-
-/// Seeds swept per scenario — the historical CI seed plus fresh ones,
-/// so equivalence is a property of the executor, not of one lucky seed.
-const INCAST_SEEDS: [u64; 3] = [4242, 7, 0xBEEF];
-const FAILOVER_SEEDS: [u64; 2] = [0xFA17, 99];
-const CHURN_SEEDS: [u64; 2] = [0xC09E, 0x1234];
-
-/// Executor-internal bookkeeping, excluded from every comparison.
-const EXEC: &[&str] = &["sim.executor."];
-
-#[test]
-fn incast_is_bit_identical_across_executors() {
-    for seed in INCAST_SEEDS {
-        for mode in [BackpressureMode::Drop, BackpressureMode::Credit] {
-            let single =
-                incast_snapshot(4, 32, mode, seed, Executor::Single).to_json_excluding(EXEC);
-            let sharded =
-                incast_snapshot(4, 32, mode, seed, Executor::ShardedMerge).to_json_excluding(EXEC);
-            assert!(
-                single.contains("relay.fabric.frames_sent"),
-                "snapshot must cover the relay fabric (seed {seed:#x})"
-            );
-            assert_eq!(
-                single, sharded,
-                "incast snapshot diverged at seed {seed:#x}, mode {mode:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn failover_is_bit_identical_across_executors() {
-    for seed in FAILOVER_SEEDS {
-        let (single, completed_single) = failover_snapshot(2, seed, Executor::Single);
-        let (sharded, completed_sharded) = failover_snapshot(2, seed, Executor::ShardedMerge);
-        assert!(
-            completed_single && completed_sharded,
-            "failover must deliver byte-exactly under both executors (seed {seed:#x})"
-        );
-        assert_eq!(
-            single.to_json_excluding(EXEC),
-            sharded.to_json_excluding(EXEC),
-            "failover snapshot diverged at seed {seed:#x}"
-        );
-    }
-}
-
-#[test]
-fn churn_is_bit_identical_across_executors() {
-    for seed in CHURN_SEEDS {
-        let single = churn_snapshot(3, 3, seed, Executor::Single).to_json_excluding(EXEC);
-        let sharded = churn_snapshot(3, 3, seed, Executor::ShardedMerge).to_json_excluding(EXEC);
-        assert_eq!(single, sharded, "churn snapshot diverged at seed {seed:#x}");
-    }
-}
-
-/// The cross-shard conservation satellite: frames crossing gateway
-/// boundaries during churn conserve exactly, per shard.
-#[test]
-fn cross_shard_traffic_conserves_under_churn() {
-    let report = churn_shard_report(4, 4, 0xC09E);
-
-    // The run itself must be healthy: traffic flowed at every probe and
-    // the per-gateway/per-fabric invariants held at quiescence —
-    // credits consumed == returned per gateway, frames sent ==
-    // delivered + unclaimed + dropped, nothing parked.
-    assert!(report.result.exchanges_ok, "{:?}", report.result);
-    assert_eq!(report.violations, Vec::<String>::new());
-
-    // Per-lane executor accounting. Lane 0 is control; lanes 1..=sites
-    // are the sites of the initial ring.
-    let s = &report.shard;
-    assert_eq!(s.lane_events.len(), 5, "4 sites + control lane");
-    for (lane, &events) in s.lane_events.iter().enumerate().skip(1) {
-        assert!(events > 0, "site lane {lane} must execute events: {s:?}");
-    }
-
-    // Every frame that left a lane entered another: cross-lane traffic
-    // conserves exactly, and churn actually produced some.
-    let out: u64 = s.cross_out.iter().sum();
-    let inn: u64 = s.cross_in.iter().sum();
-    assert_eq!(out, inn, "cross-lane frames must conserve: {s:?}");
-    assert!(out > 0, "cross-site churn traffic must cross lanes: {s:?}");
-
-    // No cross-lane delivery undercut the gateway lookahead — the
-    // invariant that makes conservative parallel windows safe.
-    assert_eq!(s.lookahead_violations, 0, "{s:?}");
-
-    // The snapshot side of the same story: frames really moved on the
-    // simulated networks (the conservation lines above weren't vacuous).
-    let sent = report.snapshot.counter_total("sim.net.frames_sent");
-    assert!(sent > 0, "churn must put frames on the wire");
-}
 
 /// The partitioned executor on the *full stack*: every shard world runs
 /// the real relay/credit machinery over a mirrored two-site grid, and

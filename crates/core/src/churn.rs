@@ -54,15 +54,6 @@ pub struct DrainReport {
     /// Trunks retired across both directions (survivors towards the
     /// departing gateways, and everything the departing nodes held).
     pub trunks_retired: u32,
-    /// Live events the departing site's sharded-merge lane still held
-    /// when the drain began (0 when the world is not sharded, or the
-    /// lane was already idle). These are executed by the quiesce, not
-    /// dropped.
-    pub lane_backlog: u32,
-    /// Cancelled entries (tombstones) compacted off the departing
-    /// site's lane before detach, so a dead lane does not keep them
-    /// resident for the rest of the run (0 when not sharded).
-    pub lane_swept: u32,
 }
 
 fn record(world: &mut SimWorld, event: TraceEvent) {
@@ -216,13 +207,6 @@ pub fn admit_site_live(
 /// `SiteLeave` delta and the survivors get the reconverged table. The
 /// departing runtimes stay alive (their owner may still inspect them)
 /// but hold no trunks and receive no routes.
-///
-/// Shard-aware: when the world runs the sharded-merge executor, the
-/// departing site's lane is inspected before the quiesce — its live
-/// backlog is reported in [`DrainReport::lane_backlog`] (and executed,
-/// never dropped), and its cancel tombstones are compacted off the lane
-/// ([`DrainReport::lane_swept`]) so the detached site's dead closures
-/// stop occupying queue slots.
 pub fn drain_site_live(
     world: &mut SimWorld,
     grid: &mut GridTopology,
@@ -232,26 +216,9 @@ pub fn drain_site_live(
     let departing: BTreeSet<NodeId> = grid.sites[index].nodes.iter().copied().collect();
     let departing_gateways = grid.sites[index].gateways.clone();
     record(world, TraceEvent::SiteDraining { site: index as u32 });
-    // Shard-aware drain: under the sharded-merge executor, site `index`
-    // lives on lane `index + 1` (the `GridTopology::shard_map`
-    // convention; lane 0 is the control lane, and an out-of-range lane
-    // reports `None`). Record how much live work the lane still holds —
-    // the quiesce below executes it, never drops it — and compact its
-    // tombstones eagerly: cancelled entries never fire, so sweeping them
-    // is behaviour-neutral, but a detached site's lane would otherwise
-    // keep the dead closures resident until the pop path happened to
-    // reach their (possibly far-future) timestamps.
-    let lane = (index + 1) as u16;
-    let lane_backlog = world.shard_lane_pending(lane).map_or(0, |(live, _)| live);
-    let lane_swept = world.sweep_shard_lane(lane);
     // Quiesce: whatever is in flight towards or from the site is
     // delivered (or accounted) before any carrier goes away.
     world.run();
-    debug_assert_eq!(
-        world.shard_lane_pending(lane).unwrap_or((0, 0)),
-        (0, 0),
-        "the departing site's lane is empty after quiesce"
-    );
     let mut retired = 0usize;
     // Survivors retire their trunks towards the departing gateways;
     // departing nodes retire everything they hold. Both paths flush
@@ -288,8 +255,6 @@ pub fn drain_site_live(
     Ok(DrainReport {
         stats,
         trunks_retired: retired as u32,
-        lane_backlog: lane_backlog as u32,
-        lane_swept: lane_swept as u32,
     })
 }
 
@@ -445,13 +410,12 @@ mod tests {
         }));
     }
 
-    /// Fault injection: drain a site while its sharded-merge lane still
-    /// holds live far-future events *and* cancel tombstones. The drain
-    /// must quiesce the lane (live work executes, nothing is dropped),
-    /// sweep the tombstones off it before detach, and leave the
-    /// survivors talking.
+    /// Fault injection: drain a site while far-future live events *and*
+    /// cancelled timers are still pending. The quiesce must execute the
+    /// live work (nothing is dropped), never fire a cancelled timer,
+    /// leave no tombstone behind, and leave the survivors talking.
     #[test]
-    fn drain_under_sharded_load_quiesces_and_sweeps_the_lane() {
+    fn drain_under_pending_load_quiesces_and_leaves_no_tombstones() {
         use simnet::{Frame, ProtoId};
         use std::cell::Cell;
 
@@ -460,7 +424,6 @@ mod tests {
         let mut grid = star_grid(&mut world, 3);
         let (runtimes, _proxies) =
             runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
-        world.enable_sharding(grid.shard_map(&world));
         let nodes = by_node(&runtimes);
         // Live trunks through the soon-to-leave site.
         exchange(
@@ -471,11 +434,9 @@ mod tests {
             100,
         );
 
-        // Plant load on the departing site's lane: a handler on one of
-        // its nodes schedules far-future follow-ups — `schedule_at`
-        // inherits the executing event's lane, so they land on the
-        // site's lane, not the control lane — and half are cancelled
-        // from outside, leaving tombstones behind.
+        // Plant load from inside the departing site: a handler on one of
+        // its nodes schedules far-future follow-ups, and half are
+        // cancelled from outside, leaving tombstones behind.
         const LOAD: ProtoId = ProtoId(ProtoId::USER_BASE.0 + 90);
         let victim = grid.site(2).node(2);
         let san = grid.sites[2].san.expect("san_cluster sites have a SAN");
@@ -494,36 +455,25 @@ mod tests {
             .send_frame(san, Frame::new(grid.site(2).node(1), victim, LOAD, vec![1]))
             .unwrap();
         // Deliver the frame and run the handler, but stop well before
-        // the far-future follow-ups so they stay pending on the lane.
+        // the far-future follow-ups so they stay pending.
         let boundary = world.now() + simnet::SimDuration::from_secs(1);
         world.run_before(boundary);
         for &id in ids.borrow().iter().take(4) {
             assert!(world.cancel(id));
         }
-        let (live, tombstoned) = world.shard_lane_pending(3).expect("site 2 lives on lane 3");
-        assert!(live >= 4, "live far-future load is on the lane: {live}");
-        assert!(
-            tombstoned >= 4,
-            "cancel tombstones are on the lane: {tombstoned}"
-        );
+        assert!(world.pending_events() >= 4, "live far-future load");
+        assert!(world.cancelled_pending() >= 4, "cancel tombstones");
 
         let report = drain_site_live(&mut world, &mut grid, &runtimes, 2).unwrap();
-        assert!(
-            report.lane_backlog >= 4,
-            "the drain saw the lane's live backlog: {report:?}"
-        );
-        assert!(
-            report.lane_swept >= 4,
-            "the drain swept the lane's tombstones: {report:?}"
-        );
         assert_eq!(
             fired.get(),
             4,
             "quiesce executed the live follow-ups; the cancelled ones never fired"
         );
-        assert_eq!(world.shard_lane_pending(3), Some((0, 0)));
+        assert_eq!(world.pending_events(), 0);
+        assert_eq!(world.cancelled_pending(), 0);
         assert!(report.trunks_retired > 0);
-        // Survivors still relay to each other on the sharded executor.
+        // Survivors still relay to each other.
         exchange(
             &mut world,
             &nodes,

@@ -44,9 +44,7 @@ pub use circuit::{
 };
 pub use madio_stream::{MadStream, MadStreamDriver};
 pub use relay::{install_gateway_proxy, GatewayProxy, GatewayProxyStats, GATEWAY_PROXY_SERVICE};
-pub use runtime::{
-    enable_site_sharding, runtimes_for_cluster, runtimes_for_grid, runtimes_for_lan, PadicoRuntime,
-};
+pub use runtime::{runtimes_for_cluster, runtimes_for_grid, runtimes_for_lan, PadicoRuntime};
 pub use selector::{
     BackpressureMode, LinkDecision, ResolvedRoute, RouteCacheStats, SelectorPreferences, TopologyKb,
 };

@@ -966,24 +966,6 @@ pub fn runtimes_for_lan(
         .collect()
 }
 
-/// Switches `world` to the per-site sharded-merge executor for `grid`:
-/// every site becomes a shard lane driven by its own timer wheel, with
-/// the conservative lookahead derived from the slowest-case backbone
-/// (see [`GridTopology::shard_map`]). Call it any time after the grid is
-/// built — already-scheduled events migrate to the control lane and stay
-/// cancellable. Returns the number of lanes (sites + control).
-///
-/// Execution order, RNG draws and `MetricsSnapshot` output are
-/// bit-for-bit identical to the single-queue executor; the sharding
-/// only changes the queue's internal organization (and exposes per-site
-/// counters via `SimWorld::shard_stats`).
-pub fn enable_site_sharding(world: &mut SimWorld, grid: &GridTopology) -> u16 {
-    let map = grid.shard_map(world);
-    let lanes = map.lanes();
-    world.enable_sharding(map);
-    lanes
-}
-
 /// Brings up a full multi-site grid: one runtime per node (with MadIO on
 /// the site SAN where present), the grid's route table installed
 /// everywhere, and a stream proxy on every gateway. Runtimes are returned

@@ -236,26 +236,12 @@ impl GridTopology {
             .collect()
     }
 
-    /// The conservative lookahead this grid affords a sharded executor:
-    /// the minimum latency of any backbone segment. Every cross-site
-    /// frame rides a backbone (gateway isolation), so its delivery is at
-    /// least this far in the future — the window the simulator can
-    /// execute sites independently within.
-    pub fn shard_lookahead(&self, world: &SimWorld) -> simnet::SimDuration {
-        self.backbones
-            .iter()
-            .map(|&id| world.network(id).spec.latency)
-            .min()
-            .unwrap_or_default()
-    }
-
     /// Per-trunk conservative lookahead windows for the partitioned
     /// executor (shard `s` hosting site `s`): one directed edge per
     /// ordered pair of sites sharing a backbone network, whose window is
-    /// the smallest latency of any backbone joining the two. This
-    /// replaces the single global-minimum window of
-    /// [`GridTopology::shard_lookahead`] with the actual latency of each
-    /// trunk: a shard adjacent only to slow trunks may run far ahead of
+    /// the smallest latency of any backbone joining the two. Unlike a
+    /// single global-minimum window, each trunk keeps its actual
+    /// latency: a shard adjacent only to slow trunks may run far ahead of
     /// its neighbours even while some other pair of sites is joined by a
     /// fast segment. Site pairs with no shared backbone get no edge —
     /// relayed traffic between them crosses the intermediate sites'
@@ -304,22 +290,6 @@ impl GridTopology {
         for (i, site) in self.sites.iter().enumerate() {
             for &n in &site.nodes {
                 map[n.0 as usize] = i as u16;
-            }
-        }
-        map
-    }
-
-    /// Builds the site-partitioning metadata for
-    /// [`SimWorld::enable_sharding`]: every node of site `i` goes to
-    /// shard lane `i + 1` (lane 0 stays the control lane for top-level
-    /// driving and nodes admitted after the map was built), with the
-    /// lookahead from [`GridTopology::shard_lookahead`].
-    pub fn shard_map(&self, world: &SimWorld) -> simnet::ShardMap {
-        let sites = self.layout.site_count();
-        let mut map = simnet::ShardMap::new((sites + 1) as u16, self.shard_lookahead(world));
-        for site in 0..sites {
-            for &node in self.layout.site_nodes(site) {
-                map.assign(node, (site + 1) as u16);
             }
         }
         map
@@ -629,7 +599,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(0, 1), Some(wan_latency));
         assert_eq!(t.get(1, 0), Some(wan_latency));
-        assert_eq!(g.shard_lookahead(&w), wan_latency);
 
         // Ring: only adjacent sites share a segment.
         let mut w = SimWorld::new(2);

@@ -131,8 +131,8 @@ impl FramePool {
     /// Registers a shared pool into a [`MetricsRegistry`] under
     /// `sim.executor.pool.*` (hit/miss counters plus a freelist gauge),
     /// so [`MetricsSnapshot`](crate::telemetry::MetricsSnapshot) covers
-    /// payload recycling wherever the sharded/partitioned executors use
-    /// it. Holds only a weak reference — a dropped pool scrapes nothing.
+    /// payload recycling wherever the partitioned executor uses it.
+    /// Holds only a weak reference — a dropped pool scrapes nothing.
     pub fn register_metrics(pool: &Rc<RefCell<FramePool>>, registry: &MetricsRegistry) {
         let weak = Rc::downgrade(pool);
         registry.register_collector(move |b| {

@@ -22,31 +22,10 @@ use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 use crate::world::SimWorld;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-///
-/// The low 48 bits are the global insertion sequence; the high 16 bits
-/// name the shard lane the event lives in (0 for the single-queue
-/// executor), so cancellation can be routed without a global lookup.
+/// Identifier of a scheduled event, usable to cancel it before it fires:
+/// the queue's insertion sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub(crate) u64);
-
-/// Bits of an [`EventId`] holding the insertion sequence.
-pub(crate) const SEQ_BITS: u32 = 48;
-/// Mask extracting the insertion sequence from an [`EventId`].
-pub(crate) const SEQ_MASK: u64 = (1u64 << SEQ_BITS) - 1;
-
-impl EventId {
-    pub(crate) fn new(lane: u16, seq: u64) -> Self {
-        debug_assert!(seq <= SEQ_MASK);
-        EventId(((lane as u64) << SEQ_BITS) | seq)
-    }
-    pub(crate) fn lane(self) -> u16 {
-        (self.0 >> SEQ_BITS) as u16
-    }
-    pub(crate) fn seq(self) -> u64 {
-        self.0 & SEQ_MASK
-    }
-}
 
 /// The callback type executed when an event fires.
 pub type EventFn = Box<dyn FnOnce(&mut SimWorld)>;
@@ -98,16 +77,16 @@ impl EventQueue {
         self.next_seq += 1;
         self.wheel.push(time.as_nanos(), seq, callback);
         self.live += 1;
-        EventId::new(0, seq)
+        EventId(seq)
     }
 
     /// Cancels a pending event. Cancelling an already-fired or unknown event
     /// is a no-op and returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.seq() >= self.next_seq {
+        if id.0 >= self.next_seq {
             return false;
         }
-        if self.cancelled.insert(id.seq()) {
+        if self.cancelled.insert(id.0) {
             // The entry stays in the wheel but will be skipped when popped
             // — unless tombstones pile up, in which case we compact below.
             self.live = self.live.saturating_sub(1);
@@ -157,18 +136,6 @@ impl EventQueue {
         let cancelled = &self.cancelled;
         self.wheel.retain(|seq| !cancelled.contains(&seq));
         self.compactions += 1;
-    }
-
-    /// Decomposes the queue so a sharded queue can adopt it as a lane
-    /// (wheel, next sequence, tombstones, live count, compaction count).
-    pub(crate) fn into_parts(self) -> (TimerWheel<EventFn>, u64, HashSet<u64>, usize, u64) {
-        (
-            self.wheel,
-            self.next_seq,
-            self.cancelled,
-            self.live,
-            self.compactions,
-        )
     }
 }
 

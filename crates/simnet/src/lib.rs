@@ -62,8 +62,8 @@ pub use network::{Network, NetworkId, SendError};
 pub use node::{Node, NodeId};
 pub use rng::SimRng;
 pub use shard::{
-    run_partitioned, Partition, PartitionReport, PartitionStats, RemoteFrame, ShardMap,
-    ShardOutcome, ShardStats, TrunkLookahead, REMOTE_NET,
+    run_partitioned, Partition, PartitionReport, PartitionStats, RemoteFrame, ShardOutcome,
+    TrunkLookahead, REMOTE_NET,
 };
 pub use spec::{HostProfile, NetworkClass, NetworkSpec};
 pub use stats::{NetworkStats, WorldStats};

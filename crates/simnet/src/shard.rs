@@ -1,387 +1,24 @@
-//! Per-site sharding of the simulator.
+//! The partitioned executor: one shard world per site.
 //!
 //! The paper's gateway-isolation invariant — all inter-site traffic
 //! crosses a known trunk with a known latency — is exactly the
 //! *lookahead* condition conservative parallel discrete-event simulation
-//! needs. This module exploits it twice, at two different scales:
-//!
-//! 1. **Sharded-merge executor** (`ShardedQueue`, enabled on a normal
-//!    [`SimWorld`] via
-//!    [`enable_sharding`](crate::world::SimWorld::enable_sharding)):
-//!    every site owns a private hierarchical
-//!    [`TimerWheel`] lane plus a virtual clock
-//!    cursor, and a lazy merge-heap of lane heads picks the global
-//!    minimum `(time, seq)`. Sequence numbers stay *global*, so the pop
-//!    order — and therefore every RNG draw, every metric, every byte of
-//!    `MetricsSnapshot::to_json()` — is bit-for-bit identical to the
-//!    single-queue executor. This is the mode the executor-equivalence
-//!    suite runs every CI scenario under.
-//!
-//! 2. **Partitioned executor** ([`run_partitioned`]): each shard is a
-//!    whole `SimWorld` owned by a worker thread (the world is built *on*
-//!    its thread — protocol stacks are `Rc`-based and never migrate).
-//!    Shards advance in conservative windows of width = the trunk
-//!    lookahead; cross-shard frames are exchanged at window barriers and
-//!    injected in a canonical `(deliver_at, from, seq)` order, so a run
-//!    with N worker threads is byte-identical to the same run with one.
-//!    This is what executes the measured 10⁵-node worlds.
+//! needs. [`run_partitioned`] exploits it: each shard is a whole
+//! [`SimWorld`] with its own ordinary event queue, owned by a worker
+//! thread (the world is built *on* its thread — protocol stacks are
+//! `Rc`-based and never migrate). Shards advance in conservative windows
+//! of width = the trunk lookahead; cross-shard frames are exchanged at
+//! window barriers and injected in a canonical `(deliver_at, from, seq)`
+//! order, so a run with N worker threads is byte-identical to the same
+//! run with one. This is what executes the measured 10⁵-node worlds.
 
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc;
 
-use crate::event::{EventFn, EventId, EventQueue};
 use crate::frame::Frame;
 use crate::telemetry::MetricsSnapshot;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
 use crate::world::SimWorld;
-use crate::NodeId;
-
-// --------------------------------------------------------------------- //
-// Shard map: node → lane assignment plus the conservative lookahead.
-// --------------------------------------------------------------------- //
-
-/// Assignment of nodes to shard lanes, plus the lookahead window that
-/// makes cross-lane synchronization conservative.
-///
-/// Lane 0 is the *control* lane: top-level test driving, nodes admitted
-/// after the map was built, and anything unassigned. Sites occupy lanes
-/// `1..=sites`.
-#[derive(Clone, Debug)]
-pub struct ShardMap {
-    lane_of: Vec<u16>,
-    lanes: u16,
-    lookahead: SimDuration,
-}
-
-impl ShardMap {
-    /// Creates a map with `lanes` lanes (lane 0 included) and the given
-    /// lookahead — the minimum virtual-time distance of any cross-lane
-    /// frame delivery (in a gateway-isolated grid: the minimum backbone
-    /// latency).
-    pub fn new(lanes: u16, lookahead: SimDuration) -> Self {
-        assert!(lanes >= 1, "need at least the control lane");
-        ShardMap {
-            lane_of: Vec::new(),
-            lanes,
-            lookahead,
-        }
-    }
-
-    /// Assigns `node` to `lane`.
-    pub fn assign(&mut self, node: NodeId, lane: u16) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let idx = node.index();
-        if idx >= self.lane_of.len() {
-            self.lane_of.resize(idx + 1, 0);
-        }
-        self.lane_of[idx] = lane;
-    }
-
-    /// Lane of `node` (0 if never assigned).
-    pub fn lane_of(&self, node: NodeId) -> u16 {
-        self.lane_of.get(node.index()).copied().unwrap_or(0)
-    }
-
-    /// Number of lanes, including the control lane.
-    pub fn lanes(&self) -> u16 {
-        self.lanes
-    }
-
-    /// The conservative lookahead window.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-}
-
-/// Per-lane execution and cross-lane traffic counters for the
-/// sharded-merge executor.
-///
-/// Deliberately *not* part of [`MetricsSnapshot`]: snapshots must stay
-/// byte-identical between executors, so shard bookkeeping lives on a
-/// side channel ([`SimWorld::shard_stats`](crate::world::SimWorld::shard_stats)).
-#[derive(Clone, Debug, Default)]
-pub struct ShardStats {
-    /// Events executed per lane.
-    pub lane_events: Vec<u64>,
-    /// Frames whose delivery entered each lane from another lane.
-    pub cross_in: Vec<u64>,
-    /// Frames each lane sent to another lane.
-    pub cross_out: Vec<u64>,
-    /// Cross-lane deliveries scheduled *closer* than the lookahead
-    /// window — each one is a grid that violates gateway isolation (or a
-    /// lookahead that was derived too large). Always 0 on a conforming
-    /// topology.
-    pub lookahead_violations: u64,
-}
-
-impl ShardStats {
-    pub(crate) fn with_lanes(lanes: u16) -> Self {
-        ShardStats {
-            lane_events: vec![0; lanes as usize],
-            cross_in: vec![0; lanes as usize],
-            cross_out: vec![0; lanes as usize],
-            lookahead_violations: 0,
-        }
-    }
-
-    /// Total frames that crossed a lane boundary.
-    pub fn frames_crossed(&self) -> u64 {
-        self.cross_out.iter().sum()
-    }
-
-    /// Runtime twin of the simlint C1 conservation rule: departures and
-    /// arrivals are incremented pairwise, so summed over every lane they
-    /// must balance exactly. Compiled out of release builds; called when
-    /// the counters are scraped into a snapshot.
-    pub fn debug_assert_balanced(&self) {
-        debug_assert_eq!(
-            self.cross_out.iter().sum::<u64>(),
-            self.cross_in.iter().sum::<u64>(),
-            "cross-lane event leak: departures and arrivals diverge",
-        );
-    }
-}
-
-// --------------------------------------------------------------------- //
-// Sharded event queue: per-lane timer wheels + lazy head merge.
-// --------------------------------------------------------------------- //
-
-struct Lane {
-    wheel: TimerWheel<EventFn>,
-    cancelled: HashSet<u64>,
-    live: usize,
-    compactions: u64,
-}
-
-const COMPACT_FLOOR: usize = 64;
-
-impl Lane {
-    fn new() -> Self {
-        Lane {
-            wheel: TimerWheel::new(),
-            cancelled: HashSet::new(),
-            live: 0,
-            compactions: 0,
-        }
-    }
-
-    /// `(time, seq)` of this lane's earliest live entry, discarding any
-    /// cancelled entries sitting at the head.
-    fn head(&mut self) -> Option<(u64, u64)> {
-        while let Some((t, seq)) = self.wheel.peek() {
-            if self.cancelled.contains(&seq) {
-                self.wheel.pop();
-            } else {
-                return Some((t, seq));
-            }
-        }
-        None
-    }
-
-    /// Mirrors [`EventQueue`]'s compaction exactly, including the rule
-    /// that purged ids stay in the tombstone set (exact double-cancel
-    /// detection — see `EventQueue::maybe_compact`); the executors must
-    /// agree on every cancel verdict to stay byte-equivalent.
-    fn maybe_compact(&mut self) {
-        let tombstones = self.wheel.len().saturating_sub(self.live);
-        if tombstones < COMPACT_FLOOR || tombstones * 2 <= self.live {
-            return;
-        }
-        let cancelled = &self.cancelled;
-        self.wheel.retain(|seq| !cancelled.contains(&seq));
-        self.compactions += 1;
-    }
-}
-
-/// Merge-heap entry: the cached head of one lane. `BinaryHeap` is a
-/// max-heap, so the ordering is inverted.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Head {
-    time: u64,
-    seq: u64,
-    lane: u16,
-}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Event queue sharded into per-lane timer wheels with a global
-/// insertion sequence, popping the global minimum `(time, seq)` — the
-/// exact order the single [`EventQueue`] would produce.
-pub(crate) struct ShardedQueue {
-    lanes: Vec<Lane>,
-    /// Lazily-maintained heap of (possibly stale) lane heads.
-    merge: BinaryHeap<Head>,
-    cached_head: Vec<Option<(u64, u64)>>,
-    next_seq: u64,
-    live: usize,
-}
-
-impl ShardedQueue {
-    /// Adopts an existing single queue as lane 0 and adds `lanes - 1`
-    /// empty site lanes. Previously-issued [`EventId`]s (lane bits 0)
-    /// stay valid.
-    pub(crate) fn from_single(queue: EventQueue, lanes: u16) -> Self {
-        let (wheel, next_seq, cancelled, live, compactions) = queue.into_parts();
-        let mut lane0 = Lane::new();
-        lane0.wheel = wheel;
-        lane0.cancelled = cancelled;
-        lane0.live = live;
-        lane0.compactions = compactions;
-        let mut q = ShardedQueue {
-            lanes: std::iter::once(lane0)
-                .chain((1..lanes).map(|_| Lane::new()))
-                .collect(),
-            merge: BinaryHeap::new(),
-            cached_head: vec![None; lanes as usize],
-            next_seq,
-            live,
-        };
-        for lane in 0..lanes as usize {
-            q.refresh_head(lane);
-        }
-        q
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
-    pub(crate) fn cancelled_pending(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.wheel.len().saturating_sub(l.live))
-            .sum()
-    }
-
-    pub(crate) fn compactions(&self) -> u64 {
-        self.lanes.iter().map(|l| l.compactions).sum()
-    }
-
-    /// `(live, tombstoned)` entry counts of one lane.
-    pub(crate) fn lane_pending(&self, lane: u16) -> Option<(usize, usize)> {
-        self.lanes
-            .get(lane as usize)
-            .map(|l| (l.live, l.wheel.len().saturating_sub(l.live)))
-    }
-
-    /// Unconditionally compacts one lane's tombstones (no floor — this
-    /// is the site-drain sweep, where the lane is about to go dormant).
-    /// Returns the number of entries removed.
-    pub(crate) fn compact_lane(&mut self, lane: u16) -> usize {
-        let Some(l) = self.lanes.get_mut(lane as usize) else {
-            return 0;
-        };
-        let before = l.wheel.len();
-        let cancelled = &l.cancelled;
-        l.wheel.retain(|seq| !cancelled.contains(&seq));
-        let removed = before - l.wheel.len();
-        if removed > 0 {
-            l.compactions += 1;
-        }
-        removed
-    }
-
-    fn refresh_head(&mut self, lane: usize) {
-        let h = self.lanes[lane].head();
-        if self.cached_head[lane] != h {
-            self.cached_head[lane] = h;
-            if let Some((time, seq)) = h {
-                self.merge.push(Head {
-                    time,
-                    seq,
-                    lane: lane as u16,
-                });
-            }
-        }
-    }
-
-    pub(crate) fn push(&mut self, time: SimTime, lane: u16, callback: EventFn) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let t = time.as_nanos();
-        let l = &mut self.lanes[lane as usize];
-        l.wheel.push(t, seq, callback);
-        l.live += 1;
-        self.live += 1;
-        if self.cached_head[lane as usize].is_none_or(|h| (t, seq) < h) {
-            self.cached_head[lane as usize] = Some((t, seq));
-            self.merge.push(Head { time: t, seq, lane });
-        }
-        EventId::new(lane, seq)
-    }
-
-    pub(crate) fn cancel(&mut self, id: EventId) -> bool {
-        let seq = id.seq();
-        if seq >= self.next_seq {
-            return false;
-        }
-        let lane = &mut self.lanes[id.lane() as usize];
-        if lane.cancelled.insert(seq) {
-            lane.live = lane.live.saturating_sub(1);
-            self.live = self.live.saturating_sub(1);
-            lane.maybe_compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The lane whose current head is the global minimum, validated
-    /// against the merge heap's cached entries.
-    fn min_lane(&mut self) -> Option<usize> {
-        loop {
-            let top = *self.merge.peek()?;
-            let lane = top.lane as usize;
-            let actual = self.lanes[lane].head();
-            if actual == Some((top.time, top.seq)) {
-                return Some(lane);
-            }
-            // Stale entry: the head fired, was cancelled, or was
-            // superseded by an earlier push. Discard and re-cache.
-            self.merge.pop();
-            if self.cached_head[lane] != actual {
-                self.cached_head[lane] = actual;
-                if let Some((time, seq)) = actual {
-                    self.merge.push(Head {
-                        time,
-                        seq,
-                        lane: lane as u16,
-                    });
-                }
-            }
-        }
-    }
-
-    pub(crate) fn next_time(&mut self) -> Option<SimTime> {
-        let lane = self.min_lane()?;
-        self.cached_head[lane].map(|(t, _)| SimTime::from_nanos(t))
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u16, EventFn)> {
-        let lane = self.min_lane()?;
-        self.merge.pop();
-        let (t, _seq, f) = self.lanes[lane].wheel.pop().expect("validated head");
-        self.lanes[lane].live -= 1;
-        self.live -= 1;
-        self.cached_head[lane] = None;
-        self.refresh_head(lane);
-        Some((SimTime::from_nanos(t), lane as u16, f))
-    }
-}
-
-// --------------------------------------------------------------------- //
-// Partitioned executor: thread-per-shard worlds, conservative windows.
-// --------------------------------------------------------------------- //
 
 /// The sentinel network id handed to handlers for frames that arrived
 /// from another shard (there is no local [`Network`](crate::network::Network)
@@ -826,6 +463,7 @@ mod tests {
     use super::*;
     use crate::frame::ProtoId;
     use crate::spec::NetworkSpec;
+    use crate::NodeId;
     use std::cell::Cell;
     use std::rc::Rc;
 

@@ -373,8 +373,8 @@ impl MetricsSnapshot {
     /// Like [`to_json`](Self::to_json), but with every entry whose key
     /// starts with one of `prefixes` omitted. The comparison surface for
     /// cross-executor equivalence: executor-internal bookkeeping
-    /// (`sim.executor.*`) legitimately differs between queue
-    /// organizations and is stripped before asserting byte-identity.
+    /// (`sim.executor.*`) exists only on partition shards and is
+    /// stripped before asserting byte-identity with the single queue.
     pub fn to_json_excluding(&self, prefixes: &[&str]) -> String {
         let filtered = MetricsSnapshot {
             entries: self

@@ -20,7 +20,7 @@ use crate::frame::{Frame, ProtoId};
 use crate::network::{Network, NetworkId, SendError};
 use crate::node::{Node, NodeId};
 use crate::rng::SimRng;
-use crate::shard::{PartitionStats, RemoteFrame, ShardMap, ShardStats, ShardedQueue, REMOTE_NET};
+use crate::shard::{PartitionStats, RemoteFrame, REMOTE_NET};
 use crate::spec::{HostProfile, NetworkSpec};
 use crate::stats::WorldStats;
 use crate::telemetry::{EventRing, MetricsRegistry, MetricsSnapshot, SnapshotBuilder, TraceEvent};
@@ -29,68 +29,6 @@ use crate::trace::Trace;
 
 /// Receive handler invoked when a frame is delivered to a node.
 pub type FrameHandler = Rc<RefCell<dyn FnMut(&mut SimWorld, NetworkId, Frame)>>;
-
-/// The event queue behind the world: either the classic single queue or
-/// the per-site sharded-merge queue. Both pop in the same global
-/// `(time, seq)` order, so the choice is invisible to everything above.
-enum Queue {
-    Single(EventQueue),
-    Sharded(ShardedQueue),
-}
-
-impl Queue {
-    fn push(&mut self, t: SimTime, lane: u16, f: EventFn) -> EventId {
-        match self {
-            Queue::Single(q) => q.push(t, f),
-            Queue::Sharded(q) => q.push(t, lane, f),
-        }
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            Queue::Single(q) => q.cancel(id),
-            Queue::Sharded(q) => q.cancel(id),
-        }
-    }
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            Queue::Single(q) => q.next_time(),
-            Queue::Sharded(q) => q.next_time(),
-        }
-    }
-    fn pop(&mut self) -> Option<(SimTime, u16, EventFn)> {
-        match self {
-            Queue::Single(q) => q.pop().map(|(t, f)| (t, 0, f)),
-            Queue::Sharded(q) => q.pop(),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            Queue::Single(q) => q.len(),
-            Queue::Sharded(q) => q.len(),
-        }
-    }
-    fn cancelled_pending(&self) -> usize {
-        match self {
-            Queue::Single(q) => q.cancelled_pending(),
-            Queue::Sharded(q) => q.cancelled_pending(),
-        }
-    }
-    fn compactions(&self) -> u64 {
-        match self {
-            Queue::Single(q) => q.compactions(),
-            Queue::Sharded(q) => q.compactions(),
-        }
-    }
-}
-
-/// Sharded-merge executor state (see [`SimWorld::enable_sharding`]).
-struct ShardState {
-    map: ShardMap,
-    stats: ShardStats,
-    /// Lane of the event currently executing; inherited by anything it
-    /// schedules. Lane 0 between events (top-level test driving).
-    current_lane: u16,
-}
 
 /// Partitioned executor state (see [`SimWorld::enable_partition`]).
 struct PartitionState {
@@ -114,8 +52,7 @@ struct PartitionState {
 /// The discrete-event simulation world.
 pub struct SimWorld {
     clock: SimTime,
-    queue: Queue,
-    shard: Option<Box<ShardState>>,
+    queue: EventQueue,
     partition: Option<Box<PartitionState>>,
     rng: SimRng,
     nodes: Vec<Node>,
@@ -142,8 +79,7 @@ impl SimWorld {
     pub fn new(seed: u64) -> Self {
         SimWorld {
             clock: SimTime::ZERO,
-            queue: Queue::Single(EventQueue::new()),
-            shard: None,
+            queue: EventQueue::new(),
             partition: None,
             rng: SimRng::seeded(seed),
             nodes: Vec::new(),
@@ -176,8 +112,7 @@ impl SimWorld {
     pub fn schedule_at(&mut self, t: SimTime, f: impl FnOnce(&mut SimWorld) + 'static) -> EventId {
         let t = t.max(self.clock);
         self.stats.events_scheduled += 1;
-        let lane = self.shard.as_ref().map_or(0, |s| s.current_lane);
-        self.queue.push(t, lane, Box::new(f) as EventFn)
+        self.queue.push(t, Box::new(f) as EventFn)
     }
 
     /// Schedules `f` to run after the duration `d`.
@@ -228,16 +163,10 @@ impl SimWorld {
     /// empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((t, lane, f)) => {
+            Some((t, f)) => {
                 debug_assert!(t >= self.clock, "time must be monotonic");
                 self.clock = t;
                 self.stats.events_executed += 1;
-                if let Some(s) = self.shard.as_deref_mut() {
-                    s.current_lane = lane;
-                    if let Some(n) = s.stats.lane_events.get_mut(lane as usize) {
-                        *n += 1;
-                    }
-                }
                 f(self);
                 true
             }
@@ -567,29 +496,9 @@ impl SimWorld {
             }
         }
 
-        // Under the sharded-merge executor the delivery event belongs to
-        // the destination's lane; a lane crossing is counted and checked
-        // against the lookahead window (both always satisfied on a
-        // gateway-isolated grid — the invariant the sharding stands on).
-        let lane = match self.shard.as_deref_mut() {
-            Some(s) => {
-                let src_lane = s.map.lane_of(frame.src);
-                let dst_lane = s.map.lane_of(frame.dst);
-                if src_lane != dst_lane {
-                    s.stats.cross_out[src_lane as usize] += 1;
-                    s.stats.cross_in[dst_lane as usize] += 1;
-                    if src_lane != 0 && dst_lane != 0 && delivery_time < now + s.map.lookahead() {
-                        s.stats.lookahead_violations += 1;
-                    }
-                }
-                dst_lane
-            }
-            None => 0,
-        };
         self.stats.events_scheduled += 1;
         self.queue.push(
             delivery_time,
-            lane,
             Box::new(move |world: &mut SimWorld| {
                 world.deliver(network, frame);
             }),
@@ -598,75 +507,13 @@ impl SimWorld {
     }
 
     // ----------------------------------------------------------------- //
-    // Executors: per-site sharding and partitioned worlds
+    // The partitioned executor
     // ----------------------------------------------------------------- //
 
-    /// Switches this world to the sharded-merge executor: per-lane timer
-    /// wheels with a global sequence, popping the identical global
-    /// `(time, seq)` order as the single queue — every RNG draw, metric
-    /// and snapshot byte stays the same (asserted by
-    /// `tests/executor_equivalence.rs`).
-    ///
-    /// The existing queue (with any already-scheduled events) becomes
-    /// lane 0, so previously-issued [`EventId`]s remain cancellable.
-    /// Typically called right after the grid is built, with the map from
-    /// `GridTopology::shard_map`.
-    pub fn enable_sharding(&mut self, map: ShardMap) {
-        assert!(self.shard.is_none(), "sharding already enabled");
-        assert!(
-            self.partition.is_none(),
-            "a partitioned world is already a shard; it cannot be sharded again"
-        );
-        let single = std::mem::replace(&mut self.queue, Queue::Single(EventQueue::new()));
-        let Queue::Single(q) = single else {
-            unreachable!("shard is None implies a single queue")
-        };
-        self.queue = Queue::Sharded(ShardedQueue::from_single(q, map.lanes()));
-        let stats = ShardStats::with_lanes(map.lanes());
-        self.shard = Some(Box::new(ShardState {
-            map,
-            stats,
-            current_lane: 0,
-        }));
-    }
-
-    /// Per-lane execution and cross-lane traffic counters, if the
-    /// sharded-merge executor is enabled. Kept out of
-    /// [`SimWorld::metrics_snapshot`] on purpose: snapshots must stay
-    /// byte-identical across executors.
-    pub fn shard_stats(&self) -> Option<&ShardStats> {
-        self.shard.as_ref().map(|s| &s.stats)
-    }
-
-    /// `(live, tombstoned)` entry counts of one sharded-merge lane, or
-    /// `None` when the sharded-merge executor is not enabled (or the
-    /// lane does not exist). Used by site drain to decide whether a
-    /// departing site's lane still holds work.
-    pub fn shard_lane_pending(&self, lane: u16) -> Option<(usize, usize)> {
-        match &self.queue {
-            Queue::Sharded(q) => q.lane_pending(lane),
-            Queue::Single(_) => None,
-        }
-    }
-
-    /// Forces a tombstone compaction sweep of one sharded-merge lane,
-    /// returning the number of cancelled entries physically removed.
-    /// Site drain calls this before detaching a site so a dead lane does
-    /// not keep tombstones resident for the rest of the run.
-    pub fn sweep_shard_lane(&mut self, lane: u16) -> usize {
-        match &mut self.queue {
-            Queue::Sharded(q) => q.compact_lane(lane),
-            Queue::Single(_) => 0,
-        }
-    }
-
-    /// Which executor this world runs on: `"single"`, `"sharded"` or
-    /// `"partitioned"`.
+    /// Which executor this world runs on: `"single"` or `"partitioned"`.
     pub fn executor_kind(&self) -> &'static str {
         if self.partition.is_some() {
             "partitioned"
-        } else if self.shard.is_some() {
-            "sharded"
         } else {
             "single"
         }
@@ -677,7 +524,6 @@ impl SimWorld {
     /// [`run_partitioned`](crate::shard::run_partitioned), not directly.
     pub fn enable_partition(&mut self, shard: u16, lookahead: SimDuration) {
         assert!(self.partition.is_none(), "partition already enabled");
-        assert!(self.shard.is_none(), "cannot partition a sharded world");
         self.partition = Some(Box::new(PartitionState {
             shard,
             lookahead,
@@ -855,29 +701,9 @@ impl SimWorld {
             b.counter("sim.net.wire_bytes_sent", labels, net.stats.wire_bytes_sent);
         }
         // Executor-level bookkeeping lives under `sim.executor.*` — only
-        // emitted when a non-single executor is active, and stripped by
-        // the equivalence suite (via `to_json_excluding`) because queue
-        // organization legitimately differs across executors.
-        if let Some(s) = self.shard.as_deref() {
-            s.stats.debug_assert_balanced();
-            b.gauge("sim.executor.lanes", &[], s.map.lanes() as i64);
-            b.counter(
-                "sim.executor.lookahead_violations",
-                &[],
-                s.stats.lookahead_violations,
-            );
-            for lane in 0..s.map.lanes() as usize {
-                let id = lane.to_string();
-                let labels: &[(&str, &str)] = &[("lane", id.as_str())];
-                b.counter(
-                    "sim.executor.lane_events",
-                    labels,
-                    s.stats.lane_events[lane],
-                );
-                b.counter("sim.executor.cross_in", labels, s.stats.cross_in[lane]);
-                b.counter("sim.executor.cross_out", labels, s.stats.cross_out[lane]);
-            }
-        }
+        // emitted by a partition shard, and stripped by the equivalence
+        // suite (via `to_json_excluding`) because a single-queue world
+        // has no cut to account for.
         if let Some(p) = self.partition.as_deref() {
             b.gauge("sim.executor.shard", &[], p.stats.shard as i64);
             b.counter("sim.executor.cross_in", &[], p.stats.cross_in);
@@ -892,8 +718,6 @@ impl SimWorld {
                 &[],
                 p.stats.lookahead_violations,
             );
-        }
-        if self.shard.is_some() || self.partition.is_some() {
             b.gauge(
                 "sim.executor.cancelled_pending",
                 &[],
