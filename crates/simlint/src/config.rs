@@ -25,21 +25,16 @@ pub fn is_test_path(path: &str) -> bool {
 
 /// D1 (hash-iteration) scope: every file whose behavior feeds
 /// `MetricsSnapshot` JSON, bench digests, trace rings, or frame/event
-/// scheduling. That is the whole tree except the demo examples and the
-/// vendored `criterion` stand-in (bench reporting only — its output is
-/// wall-clock timing, never digest-compared).
+/// scheduling. That is the whole tree except the demo examples.
 pub fn d1_in_scope(path: &str) -> bool {
-    !path.starts_with("examples/") && !path.starts_with("crates/criterion/")
+    !path.starts_with("examples/")
 }
 
 /// D2 (wall clock / OS entropy) exemptions: the bench crate measures
-/// wall time by design (`events_per_sec`, CLI arg parsing), and the
-/// `criterion` stand-in is a wall-clock harness. Everything else must
-/// be seeded and clock-free, or carry an allow with a reason.
+/// wall time by design (`events_per_sec`, CLI arg parsing). Everything
+/// else must be seeded and clock-free, or carry an allow with a reason.
 pub fn d2_exempt(path: &str) -> bool {
-    path.starts_with("crates/bench/")
-        || path.starts_with("crates/criterion/")
-        || path.starts_with("examples/")
+    path.starts_with("crates/bench/") || path.starts_with("examples/")
 }
 
 /// D3 (pointer formatting/hashing) scope: same as D1 — anything that
@@ -57,7 +52,6 @@ pub fn d4_exempt(path: &str) -> bool {
         || path == "crates/bench/src/fullstack.rs"
         || path == "crates/bench/src/scale.rs"
         || path.starts_with("crates/bytes/")
-        || path.starts_with("crates/criterion/")
         || path.starts_with("examples/")
 }
 
@@ -76,7 +70,6 @@ pub const C1_GATE_FILES: &[&str] = &[
 /// excluded by the scanner itself.
 pub fn h1_density_in_scope(path: &str) -> bool {
     !path.starts_with("crates/bench/")
-        && !path.starts_with("crates/criterion/")
         && !path.starts_with("crates/bytes/")
         && !path.starts_with("examples/")
         && !is_test_path(path)

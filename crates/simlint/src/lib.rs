@@ -30,7 +30,7 @@
 //! catalogue and rationale.
 //!
 //! Everything is hand-rolled on std — no dependencies, in the spirit of
-//! the vendored `bytes`/`criterion` stand-ins.
+//! the vendored `bytes` stand-in.
 
 #![deny(unsafe_code)]
 
