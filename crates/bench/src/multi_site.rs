@@ -751,6 +751,9 @@ pub fn failover_metrics(senders: usize) -> (MetricsSnapshot, bool, Option<f64>, 
 ///   (lossless backbones — nothing vanishes without a drop counter);
 /// * per simulated network, frames dropped + unclaimed ≤ frames sent
 ///   (a fabric can only lose what actually entered it);
+/// * events executed + cancelled ≤ events scheduled (an event ends one
+///   way at most — more means `SimWorld::cancel` was handed the id of an
+///   event that had already fired);
 /// * no frame left parked on gateway credits;
 /// * no stream left parked on trunk memory, and no received byte left
 ///   unconsumed in trunk receive buffers.
@@ -817,6 +820,18 @@ pub fn conservation_violations(snap: &MetricsSnapshot) -> Vec<String> {
                  + unclaimed {unclaimed} > sent {sent}"
             ));
         }
+    }
+
+    // Event accounting: every scheduled event is executed, cancelled or
+    // still pending — never two of those.
+    let scheduled = snap.counter("sim.world.events_scheduled").unwrap_or(0);
+    let executed = snap.counter("sim.world.events_executed").unwrap_or(0);
+    let cancelled = snap.counter("sim.world.events_cancelled").unwrap_or(0);
+    if executed + cancelled > scheduled {
+        violations.push(format!(
+            "event over-accounting: executed {executed} + cancelled {cancelled} \
+             > scheduled {scheduled} (an already-fired event was cancelled)"
+        ));
     }
 
     // Trunk memory fully drained: nothing parked, nothing buffered.
@@ -1382,6 +1397,28 @@ mod tests {
         // run reconverged incrementally (the smoke binary asserts the
         // zero-full-recompute side in isolation).
         assert!(r.delta_reconvergences >= r.steps as u64 + 2, "{r:?}");
+    }
+
+    /// `SimWorld::cancel` cannot tell a fired id from a pending one: the
+    /// first cancel of an already-fired event counts as a cancellation.
+    /// The event-accounting gate is what catches a caller doing that.
+    #[test]
+    fn cancelling_a_fired_event_trips_the_event_accounting_gate() {
+        let mut world = SimWorld::new(1);
+        let a = world.schedule_at(simnet::SimTime::from_millis(1), |_| {});
+        world.schedule_at(simnet::SimTime::from_millis(5), |_| {});
+        world.run_for(SimDuration::from_millis(2));
+        assert_eq!(conservation_violations(&world.metrics_snapshot()).len(), 0);
+        assert_eq!(world.pending_events(), 1);
+        assert!(world.cancel(a), "a fired id reads as a fresh cancellation");
+        assert_eq!(world.pending_events(), 0, "although b is still queued");
+        world.run();
+        let violations = conservation_violations(&world.metrics_snapshot());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("executed 2 + cancelled 1 > scheduled 2"),
+            "{violations:?}"
+        );
     }
 
     #[test]

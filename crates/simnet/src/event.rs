@@ -80,8 +80,14 @@ impl EventQueue {
         EventId(seq)
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or unknown event
-    /// is a no-op and returns `false`.
+    /// Cancels a pending event. Returns `true` the first time it is
+    /// called with an id this queue issued, `false` for an id already
+    /// cancelled or never issued.
+    ///
+    /// The queue keeps no per-id record of what has fired, so the first
+    /// `cancel` of an id whose event *already ran* also returns `true`
+    /// and takes one off [`len`](Self::len) although nothing was
+    /// pending. Callers must drop an id once its event has fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_seq {
             return false;
@@ -241,9 +247,9 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_still_reports_cancelled_once() {
-        // Legacy semantics the executor-equivalence suite depends on: the
-        // queue cannot distinguish "fired" from "pending" by id alone, so
-        // the first cancel of a fired id returns true and the second false.
+        // The documented contract of `cancel`: the queue cannot tell
+        // "fired" from "pending" by id alone, so the first cancel of a
+        // fired id returns true and the second false.
         let mut q = EventQueue::new();
         let log = Rc::new(RefCell::new(Vec::new()));
         let a = q.push(SimTime::from_nanos(1), record(&log, 1));

@@ -124,8 +124,18 @@ impl SimWorld {
         self.schedule_at(self.clock + d, f)
     }
 
-    /// Cancels a pending event; returns `false` if it already fired or was
-    /// already cancelled.
+    /// Cancels a pending event. Returns `true` the first time it is
+    /// called with an id this world issued, `false` for an id already
+    /// cancelled or never issued.
+    ///
+    /// The id must still be pending: the queue keeps no per-id record of
+    /// what has fired, so the first `cancel` of an event that *already
+    /// ran* also returns `true`, bumps `stats.events_cancelled` and takes
+    /// one off [`pending_events`](Self::pending_events) although nothing
+    /// was removed. Hold an id only while its event is pending (clear it
+    /// in the callback). A run that broke this ends with
+    /// `events_executed + events_cancelled > events_scheduled`, which
+    /// `padico_bench::conservation_violations` reports.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let cancelled = self.queue.cancel(id);
         if cancelled {
