@@ -50,7 +50,6 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod wheel;
 pub mod world;
 
@@ -73,7 +72,6 @@ pub use telemetry::{
     TraceEvent,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceRecord};
 pub use wheel::TimerWheel;
 pub use world::SimWorld;
 

@@ -13,9 +13,8 @@
 //!   [`MetricsSnapshot`] whose iteration order (and therefore JSON) is
 //!   deterministic: identical seeded runs render bit-identical documents.
 //! * [`EventRing`] / [`TraceEvent`] — typed, allocation-free event records
-//!   with virtual timestamps and [`CauseId`] correlation, replacing string
-//!   traces on the hot paths. The ring evicts oldest-first at capacity and
-//!   counts what it evicted.
+//!   with virtual timestamps and [`CauseId`] correlation. The ring
+//!   evicts oldest-first at capacity and counts what it evicted.
 //! * [`FlightRecorder`] — a bounded per-stream log of lifecycle
 //!   transitions (dial, credit stall, migration, re-dial, close) so a
 //!   fault-injection failure prints a forensic timeline instead of a bare

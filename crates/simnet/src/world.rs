@@ -25,7 +25,6 @@ use crate::spec::{HostProfile, NetworkSpec};
 use crate::stats::WorldStats;
 use crate::telemetry::{EventRing, MetricsRegistry, MetricsSnapshot, SnapshotBuilder, TraceEvent};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Receive handler invoked when a frame is delivered to a node.
 pub type FrameHandler = Rc<RefCell<dyn FnMut(&mut SimWorld, NetworkId, Frame)>>;
@@ -58,10 +57,6 @@ pub struct SimWorld {
     nodes: Vec<Node>,
     networks: Vec<Network>,
     handlers: HashMap<(NodeId, ProtoId), FrameHandler>,
-    /// Free-form string trace (disabled by default); protocol layers above
-    /// the hot paths may still use it. Frame-level hot paths record typed
-    /// events into [`SimWorld::events`] instead.
-    pub trace: Trace,
     /// Typed event ring (disabled by default, allocation-free while off).
     pub events: EventRing,
     /// The unified metrics registry every layer of the stack registers
@@ -85,7 +80,6 @@ impl SimWorld {
             nodes: Vec::new(),
             networks: Vec::new(),
             handlers: HashMap::new(),
-            trace: Trace::new(),
             events: EventRing::new(),
             metrics: MetricsRegistry::new(),
             stats: WorldStats::default(),
@@ -670,8 +664,8 @@ impl SimWorld {
 
     /// Scrapes one deterministic snapshot of the whole telemetry
     /// namespace: the world and per-network counters under `sim.*`, the
-    /// trace/event-ring health counters, plus everything every layer
-    /// registered into [`SimWorld::metrics`].
+    /// event-ring health counter, plus everything every layer registered
+    /// into [`SimWorld::metrics`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut b = SnapshotBuilder::new();
         b.counter("sim.world.events_executed", &[], self.stats.events_executed);
@@ -687,11 +681,6 @@ impl SimWorld {
         );
         b.gauge("sim.world.nodes", &[], self.nodes.len() as i64);
         b.gauge("sim.world.networks", &[], self.networks.len() as i64);
-        b.counter(
-            "sim.trace.records_dropped",
-            &[],
-            self.trace.records_dropped(),
-        );
         b.counter("sim.events.dropped", &[], self.events.dropped());
         for net in &self.networks {
             let id = net.id.index().to_string();
