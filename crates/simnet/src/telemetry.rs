@@ -47,7 +47,10 @@ pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
     }
     let mut sorted: Vec<(&str, &str)> = labels.to_vec();
     sorted.sort_unstable();
-    let mut key = String::with_capacity(name.len() + 16);
+    // Exact size: a snapshot keeps every key alive, so slack adds up.
+    let labels_len: usize = sorted.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+    let len = name.len() + 1 + labels_len;
+    let mut key = String::with_capacity(len);
     key.push_str(name);
     key.push('{');
     for (i, (k, v)) in sorted.iter().enumerate() {
@@ -63,6 +66,7 @@ pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
         key.push_str(v);
     }
     key.push('}');
+    debug_assert_eq!(key.len(), len);
     key
 }
 
