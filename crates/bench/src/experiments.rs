@@ -2,8 +2,8 @@
 //! evaluation section, re-implemented over the simulated testbed.
 //!
 //! Each function builds the relevant topology, runs the workload in virtual
-//! time, and returns structured results; the `src/bin/*` binaries print
-//! them as the paper's tables/series and `benches/*` wrap them in Criterion.
+//! time, and returns structured results; the `all_experiments` binary
+//! prints them as the paper's tables/series.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

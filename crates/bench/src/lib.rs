@@ -8,7 +8,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod datapath;
 pub mod experiments;
 pub mod fullstack;
 pub mod multi_site;

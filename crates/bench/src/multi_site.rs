@@ -782,7 +782,7 @@ pub fn conservation_violations(snap: &MetricsSnapshot) -> Vec<String> {
     if let Some(sent) = snap.counter("relay.fabric.frames_sent") {
         let delivered = snap.counter("relay.fabric.frames_delivered").unwrap_or(0);
         let unclaimed = snap.counter("relay.fabric.frames_unclaimed").unwrap_or(0);
-        let dropped: u64 = ["queue_full", "ttl", "no_route", "fault", "gateway_down"]
+        let dropped: u64 = ["queue_full", "ttl", "no_route", "fault"]
             .iter()
             .map(|cause| snap.counter_total(&format!("relay.gateway.frames_dropped_{cause}")))
             .sum();

@@ -1039,10 +1039,13 @@ mod tests {
         world.run();
         let server = accepted.borrow().clone().unwrap();
         assert_eq!(server.method(), VLinkMethod::MadIo);
-        client.post_write(&mut world, b"over the SAN");
-        let op = server.post_read(&mut world, 12);
-        world.run();
-        assert_eq!(server.complete_read(op).unwrap(), b"over the SAN");
+        let bulk: Vec<u8> = (0..256 * 1024usize).map(|i| (i % 251) as u8).collect();
+        for payload in [&b"over the SAN"[..], &bulk] {
+            client.post_write(&mut world, payload);
+            let op = server.post_read(&mut world, payload.len());
+            world.run();
+            assert_eq!(server.complete_read(op).unwrap(), payload);
+        }
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub struct RouteCacheStats {
 
 /// Bounded LRU memo of resolved routes, keyed by ordered node pair.
 /// Hierarchical tables materialize `Route`/`PathInfo` lazily, so the cache
-/// is what keeps repeated link decisions (and the relay fabric's
+/// is what keeps repeated link decisions (and the gateway proxies'
 /// per-stream lookups) allocation-free.
 ///
 /// Eviction is by *recency*, not insertion order: each entry carries a

@@ -29,7 +29,7 @@
 //! logic can be tested reproducibly.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -86,11 +86,6 @@ pub struct RelayConfig {
     /// pool (the credit-advertisement latency). Only meaningful in
     /// [`BackpressureMode::Credit`].
     pub credit_return_latency: SimDuration,
-    /// Re-route frames around gateways marked down with
-    /// [`RelayFabric::fail_gateway`] (through any surviving gateway of the
-    /// site, on hierarchical routes). With this off a failed gateway
-    /// simply blackholes its routes — the seed behaviour.
-    pub gateway_failover: bool,
 }
 
 impl Default for RelayConfig {
@@ -101,7 +96,6 @@ impl Default for RelayConfig {
             ttl: 16,
             backpressure: BackpressureMode::Drop,
             credit_return_latency: SimDuration::from_micros(10),
-            gateway_failover: true,
         }
     }
 }
@@ -123,10 +117,6 @@ pub struct GatewayStats {
     /// Frames discarded by the fault injector (see
     /// [`RelayFabric::inject_gateway_faults`]).
     pub frames_dropped_fault: u64,
-    /// Frames discarded because this gateway was marked down with
-    /// [`RelayFabric::fail_gateway`] while they were addressed to or
-    /// queued inside it.
-    pub frames_dropped_gateway_down: u64,
     /// High-water mark of the relay queue depth.
     pub max_queue_depth: usize,
     /// Credits consumed towards this gateway (frames admitted into its
@@ -144,7 +134,6 @@ impl GatewayStats {
             + self.frames_dropped_ttl
             + self.frames_dropped_no_route
             + self.frames_dropped_fault
-            + self.frames_dropped_gateway_down
     }
 }
 
@@ -264,16 +253,6 @@ struct FabricInner {
     /// Parked frames whose transmission failed once unparked (topology
     /// changed under the fabric).
     parked_send_failures: u64,
-    /// Gateways marked down with [`RelayFabric::fail_gateway`].
-    down: BTreeSet<NodeId>,
-    /// Frames whose next hop was re-routed around a down gateway.
-    frames_rerouted: u64,
-    /// Memoized avoiding next hops while the down set is non-empty
-    /// (`(hop, differs-from-default)` per pair, `None` = unroutable):
-    /// failover-time routing re-solves the backbone per lookup, which
-    /// must not be paid per frame per hop. Cleared whenever the down set
-    /// or the routes change.
-    reroute_cache: HashMap<(NodeId, NodeId), Option<(Hop, bool)>>,
     fault: Option<FaultInjector>,
     /// Whether this fabric already registered its metrics collector.
     metrics_registered: bool,
@@ -287,37 +266,6 @@ struct FabricInner {
 }
 
 impl FabricInner {
-    /// The next hop from `src` towards `dst`, routed around the down
-    /// gateways when failover is enabled. Counts a re-route whenever the
-    /// default hop would have entered a down gateway; the returned flag
-    /// tells the caller the hop differs from the default (so it can
-    /// record a typed re-route event against the frame's cause).
-    fn pick_next_hop(&mut self, src: NodeId, dst: NodeId) -> Option<(Hop, bool)> {
-        if self.down.is_empty() || !self.config.gateway_failover {
-            // With failover off a failed gateway is a genuine blackhole:
-            // routing keeps pointing into it and the frames die there.
-            return self.routes.next_hop(src, dst).map(|hop| (hop, false));
-        }
-        let entry = match self.reroute_cache.get(&(src, dst)) {
-            Some(&cached) => cached,
-            None => {
-                let entry = self
-                    .routes
-                    .next_hop_avoiding(src, dst, &self.down)
-                    .map(|hop| {
-                        let rerouted = self.routes.next_hop(src, dst) != Some(hop);
-                        (hop, rerouted)
-                    });
-                self.reroute_cache.insert((src, dst), entry);
-                entry
-            }
-        };
-        let (hop, rerouted) = entry?;
-        if rerouted {
-            self.frames_rerouted += 1;
-        }
-        Some((hop, rerouted))
-    }
     /// With the wire credit plane enabled: the reverse path the credit a
     /// frame from `src` consumed towards `here` must ride home, when the
     /// two sit in different sites. `None` otherwise (plane off, same
@@ -361,7 +309,6 @@ impl FabricInner {
         b.counter("relay.fabric.frames_delivered", &[], self.delivered_frames);
         b.counter("relay.fabric.delivered_bytes", &[], self.delivered_bytes);
         b.counter("relay.fabric.frames_unclaimed", &[], self.unclaimed_frames);
-        b.counter("relay.fabric.frames_rerouted", &[], self.frames_rerouted);
         b.counter("relay.fabric.credit_stalls", &[], self.credit_stalls);
         b.counter("relay.fabric.credit_stall_ns", &[], self.credit_stall_ns);
         b.counter(
@@ -371,7 +318,6 @@ impl FabricInner {
         );
         let parked: usize = self.parked.values().map(|q| q.len()).sum();
         b.gauge("relay.fabric.parked_frames", &[], parked as i64);
-        b.gauge("relay.fabric.gateways_down", &[], self.down.len() as i64);
 
         // BTreeMap keys iterate in NodeId order already.
         let ids: Vec<NodeId> = self.gateways.keys().copied().collect();
@@ -401,11 +347,6 @@ impl FabricInner {
                 "relay.gateway.frames_dropped_fault",
                 labels,
                 s.frames_dropped_fault,
-            );
-            b.counter(
-                "relay.gateway.frames_dropped_gateway_down",
-                labels,
-                s.frames_dropped_gateway_down,
             );
             b.counter("relay.gateway.credits_consumed", labels, s.credits_consumed);
             b.counter("relay.gateway.credits_returned", labels, s.credits_returned);
@@ -449,9 +390,6 @@ impl RelayFabric {
                 credit_stalls: 0,
                 credit_stall_ns: 0,
                 parked_send_failures: 0,
-                down: BTreeSet::new(),
-                frames_rerouted: 0,
-                reroute_cache: HashMap::new(),
                 fault: None,
                 metrics_registered: false,
                 wire_credit_sites: None,
@@ -483,9 +421,7 @@ impl RelayFabric {
 
     /// Replaces the routing table (after a topology change).
     pub fn set_routes(&self, routes: impl Into<GridRoutes>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.routes = routes.into();
-        inner.reroute_cache.clear();
+        self.inner.borrow_mut().routes = routes.into();
     }
 
     /// Runs `f` with a borrow of the routing table.
@@ -504,175 +440,6 @@ impl RelayFabric {
             drop_fraction: drop_fraction.clamp(0.0, 1.0),
             rng: SimRng::seeded(seed),
         });
-    }
-
-    /// Disarms the fault injector.
-    pub fn clear_gateway_faults(&self) {
-        self.inner.borrow_mut().fault = None;
-    }
-
-    /// Fault-injects gateway `gw`: it delivers and forwards nothing from
-    /// now on (frames inside it die, exactly accounted), and — with
-    /// [`RelayConfig::gateway_failover`] on — every subsequent frame is
-    /// re-routed through a surviving gateway of the site (counted in
-    /// [`RelayFabric::frames_rerouted`]). Frames parked on `gw`'s credit
-    /// pool are re-dispatched along the surviving route immediately, in
-    /// their park order, so credit mode loses nothing that had not yet
-    /// entered the dead gateway.
-    pub fn fail_gateway(&self, world: &mut SimWorld, gw: NodeId) {
-        let stranded = {
-            let mut inner = self.inner.borrow_mut();
-            if !inner.down.insert(gw) {
-                return; // already down
-            }
-            inner.reroute_cache.clear();
-            inner.parked.remove(&gw).unwrap_or_default()
-        };
-        for pf in stranded {
-            self.redispatch_parked(world, pf);
-        }
-    }
-
-    /// Marks a previously failed gateway as live again (a restarted
-    /// gateway process; its queue starts empty).
-    pub fn restore_gateway(&self, gw: NodeId) {
-        let mut inner = self.inner.borrow_mut();
-        inner.down.remove(&gw);
-        inner.reroute_cache.clear();
-    }
-
-    /// The gateways currently marked down.
-    pub fn downed_gateways(&self) -> Vec<NodeId> {
-        self.inner.borrow().down.iter().copied().collect()
-    }
-
-    /// Frames whose next hop was re-routed around a down gateway.
-    pub fn frames_rerouted(&self) -> u64 {
-        self.inner.borrow().frames_rerouted
-    }
-
-    /// Re-dispatches one frame that was parked on a now-failed gateway's
-    /// credit pool along a surviving route (or accounts its loss).
-    fn redispatch_parked(&self, world: &mut SimWorld, pf: ParkedFrame) {
-        let (hop, rerouted, from, credit_mode) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.credit_stall_ns += world.now().since(pf.parked_at).as_nanos();
-            let credit_mode = inner.config.backpressure == BackpressureMode::Credit;
-            let route_src = pf.from.unwrap_or(pf.orig_src);
-            match inner.pick_next_hop(route_src, pf.final_dst) {
-                Some((hop, rerouted)) => (hop, rerouted, pf.from, credit_mode),
-                None => {
-                    // No surviving route: account the loss where the frame
-                    // physically was (the holding gateway, or nowhere for
-                    // an origin send that never entered the fabric).
-                    match pf.from {
-                        Some(holder) => {
-                            let state = inner.gateways.entry(holder).or_default();
-                            state.queue_depth = state.queue_depth.saturating_sub(1);
-                            state.stats.frames_dropped_no_route += 1;
-                            let holder_returns = credit_mode;
-                            drop(inner);
-                            if world.events.is_enabled() {
-                                let now = world.now();
-                                world.events.record(
-                                    now,
-                                    TraceEvent::RelayDropped {
-                                        gateway: holder,
-                                        cause: pf.cause,
-                                        drop_cause: DropCause::NoRoute,
-                                    },
-                                );
-                            }
-                            if holder_returns {
-                                self.schedule_credit_return_from(world, holder, pf.upstream);
-                            }
-                        }
-                        None => inner.parked_send_failures += 1,
-                    }
-                    return;
-                }
-            }
-        };
-        if world.events.is_enabled() {
-            let now = world.now();
-            let node = from.unwrap_or(pf.orig_src);
-            world.events.record(
-                now,
-                TraceEvent::RelayResumed {
-                    node,
-                    cause: pf.cause,
-                },
-            );
-            if rerouted {
-                world.events.record(
-                    now,
-                    TraceEvent::RelayRerouted {
-                        node,
-                        cause: pf.cause,
-                    },
-                );
-            }
-        }
-        // Acquire the surviving hop's credit (or re-park on it) and
-        // transmit, mirroring the regular send / forward paths.
-        match from {
-            None => {
-                let mut consumed = false;
-                if hop.node != pf.final_dst && credit_mode {
-                    let mut inner = self.inner.borrow_mut();
-                    if !inner.try_consume_credit(hop.node) {
-                        inner
-                            .parked
-                            .entry(hop.node)
-                            .or_default()
-                            .push_back(ParkedFrame {
-                                hop,
-                                parked_at: world.now(),
-                                ..pf
-                            });
-                        return;
-                    }
-                    consumed = true;
-                }
-                let wire = encode(
-                    pf.final_dst,
-                    pf.orig_src,
-                    pf.port,
-                    pf.ttl,
-                    pf.cause,
-                    &pf.payload,
-                );
-                if world
-                    .send_frame(
-                        hop.network,
-                        Frame::new(pf.orig_src, hop.node, ProtoId::RELAY, wire),
-                    )
-                    .is_err()
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.parked_send_failures += 1;
-                    if consumed {
-                        inner.release_credit_now(hop.node);
-                    }
-                }
-            }
-            Some(holder) => {
-                // The frame still occupies `holder`'s queue; forward it on
-                // the surviving hop exactly like a due store-and-forward.
-                self.forward_from_gateway(
-                    world,
-                    holder,
-                    hop,
-                    pf.final_dst,
-                    pf.orig_src,
-                    pf.port,
-                    pf.ttl,
-                    pf.payload,
-                    pf.cause,
-                    pf.upstream,
-                );
-            }
-        }
     }
 
     /// Attaches the relay agent to `node`: the node can now receive
@@ -748,7 +515,7 @@ impl RelayFabric {
     ) -> Result<(), RelayError> {
         let payload = payload.into();
         let (first_hop, ttl) = {
-            let mut inner = self.inner.borrow_mut();
+            let inner = self.inner.borrow();
             if !inner.routes.reachable(src, dst) {
                 return Err(RelayError::NoRoute);
             }
@@ -766,7 +533,7 @@ impl RelayFabric {
             let hop = if src == dst {
                 None
             } else {
-                Some(inner.pick_next_hop(src, dst).ok_or(RelayError::NoRoute)?)
+                Some(inner.routes.next_hop(src, dst).ok_or(RelayError::NoRoute)?)
             };
             (hop, inner.config.ttl)
         };
@@ -797,17 +564,12 @@ impl RelayFabric {
                 });
                 Ok(())
             }
-            Some((hop, rerouted)) => {
+            Some(hop) => {
                 if world.events.is_enabled() {
                     let now = world.now();
                     world
                         .events
                         .record(now, TraceEvent::RelayAccepted { node: src, cause });
-                    if rerouted {
-                        world
-                            .events
-                            .record(now, TraceEvent::RelayRerouted { node: src, cause });
-                    }
                 }
                 // A first hop that is not the destination is a gateway
                 // that will queue the frame: in credit mode its queue
@@ -874,25 +636,6 @@ impl RelayFabric {
         let upstream = self.inner.borrow().credit_upstream(frame.src, here, net);
 
         if final_dst == here {
-            if self.inner.borrow().down.contains(&here) {
-                // A failed node delivers nothing.
-                let mut inner = self.inner.borrow_mut();
-                let state = inner.gateways.entry(here).or_default();
-                state.stats.frames_dropped_gateway_down += 1;
-                drop(inner);
-                if world.events.is_enabled() {
-                    let now = world.now();
-                    world.events.record(
-                        now,
-                        TraceEvent::RelayDropped {
-                            gateway: here,
-                            cause,
-                            drop_cause: DropCause::GatewayDown,
-                        },
-                    );
-                }
-                return;
-            }
             let msg = RelayedMessage {
                 src: orig_src,
                 port,
@@ -917,18 +660,9 @@ impl RelayFabric {
                 Some(f) => f.rng.gen_bool(f.drop_fraction),
                 None => false,
             };
-            let gateway_down = inner.down.contains(&here);
-            let next = if gateway_down {
-                None
-            } else {
-                inner.pick_next_hop(here, final_dst)
-            };
+            let next = inner.routes.next_hop(here, final_dst);
             let state = inner.gateways.entry(here).or_default();
-            let (enqueued, drop_cause) = if gateway_down {
-                // A frame arriving at a failed gateway vanishes with it.
-                state.stats.frames_dropped_gateway_down += 1;
-                (None, Some(DropCause::GatewayDown))
-            } else if fault_drop {
+            let (enqueued, drop_cause) = if fault_drop {
                 state.stats.frames_dropped_fault += 1;
                 (None, Some(DropCause::Fault))
             } else if ttl == 0 {
@@ -953,7 +687,7 @@ impl RelayFabric {
             (enqueued, drop_cause, credit_mode, config_latency)
         };
 
-        let Some((hop, rerouted)) = enqueued else {
+        let Some(hop) = enqueued else {
             // Discarded on arrival: the credit the upstream consumed for
             // this gateway travels straight back (faults must not leak
             // credits, or the fabric would deadlock).
@@ -973,12 +707,6 @@ impl RelayFabric {
             }
             return;
         };
-        if rerouted && world.events.is_enabled() {
-            let now = world.now();
-            world
-                .events
-                .record(now, TraceEvent::RelayRerouted { node: here, cause });
-        }
         let fabric = self.clone();
         let payload = frame.payload.slice(RELAY_HEADER_BYTES..);
         world.schedule_after(per_hop_latency, move |world| {
@@ -1005,71 +733,9 @@ impl RelayFabric {
         cause: CauseId,
         upstream: Upstream,
     ) {
-        let hop = {
+        {
             let mut inner = self.inner.borrow_mut();
             let credit_mode = inner.config.backpressure == BackpressureMode::Credit;
-            if inner.down.contains(&here) {
-                // The gateway failed while holding this frame: the frame
-                // dies with it (its credit still returns upstream so the
-                // fault never leaks credits).
-                let state = inner.gateways.entry(here).or_default();
-                state.queue_depth = state.queue_depth.saturating_sub(1);
-                state.stats.frames_dropped_gateway_down += 1;
-                drop(inner);
-                if world.events.is_enabled() {
-                    let now = world.now();
-                    world.events.record(
-                        now,
-                        TraceEvent::RelayDropped {
-                            gateway: here,
-                            cause,
-                            drop_cause: DropCause::GatewayDown,
-                        },
-                    );
-                }
-                if credit_mode {
-                    self.schedule_credit_return_from(world, here, upstream);
-                }
-                return;
-            }
-            // The hop chosen at enqueue time may have failed during the
-            // store-and-forward hold: re-route around it now.
-            let hop = if hop.node != final_dst && inner.down.contains(&hop.node) {
-                match inner.pick_next_hop(here, final_dst) {
-                    Some((h2, _)) => {
-                        if world.events.is_enabled() {
-                            let now = world.now();
-                            world
-                                .events
-                                .record(now, TraceEvent::RelayRerouted { node: here, cause });
-                        }
-                        h2
-                    }
-                    None => {
-                        let state = inner.gateways.entry(here).or_default();
-                        state.queue_depth = state.queue_depth.saturating_sub(1);
-                        state.stats.frames_dropped_no_route += 1;
-                        drop(inner);
-                        if world.events.is_enabled() {
-                            let now = world.now();
-                            world.events.record(
-                                now,
-                                TraceEvent::RelayDropped {
-                                    gateway: here,
-                                    cause,
-                                    drop_cause: DropCause::NoRoute,
-                                },
-                            );
-                        }
-                        if credit_mode {
-                            self.schedule_credit_return_from(world, here, upstream);
-                        }
-                        return;
-                    }
-                }
-            } else {
-                hop
-            };
             let needs_credit = credit_mode && hop.node != final_dst;
             if needs_credit && !inner.try_consume_credit(hop.node) {
                 inner
@@ -1100,8 +766,7 @@ impl RelayFabric {
                 // upstream credit stays withheld: the stall cascades.
                 return;
             }
-            hop
-        };
+        }
         self.complete_forward(
             world, here, hop, final_dst, orig_src, port, ttl, payload, cause, upstream,
         );
@@ -1353,11 +1018,6 @@ impl RelayFabric {
     /// nanoseconds.
     pub fn credit_stall_ns(&self) -> u64 {
         self.inner.borrow().credit_stall_ns
-    }
-
-    /// Parked frames whose transmission failed once unparked.
-    pub fn parked_send_failures(&self) -> u64 {
-        self.inner.borrow().parked_send_failures
     }
 
     /// Frames accepted by [`RelayFabric::send`] (parked sends included;
@@ -1689,133 +1349,6 @@ mod tests {
         // identical run to run.
         assert_eq!(run(BackpressureMode::Drop), run(BackpressureMode::Drop));
         assert_eq!(run(BackpressureMode::Credit), run(BackpressureMode::Credit));
-    }
-
-    /// a —lan1— g —wan— {h1, h2} —lan2— b : the destination site has a
-    /// redundant gateway pair on hierarchical routes.
-    fn redundant_world(config: RelayConfig) -> (SimWorld, RelayFabric, [NodeId; 5]) {
-        let mut w = SimWorld::new(5);
-        let a = w.add_node("a");
-        let g = w.add_node("g");
-        let h1 = w.add_node("h1");
-        let h2 = w.add_node("h2");
-        let b = w.add_node("b");
-        let lan1 = w.add_network(NetworkSpec::ethernet_100());
-        let wan = w.add_network(NetworkSpec::vthd_wan());
-        let lan2 = w.add_network(NetworkSpec::ethernet_100());
-        for n in [a, g] {
-            w.attach(n, lan1);
-        }
-        for n in [g, h1, h2] {
-            w.attach(n, wan);
-        }
-        for n in [h1, h2, b] {
-            w.attach(n, lan2);
-        }
-        let mut layout = crate::hier::SiteLayout::new();
-        layout.add_site(g, [a, g]);
-        layout.add_site_ranked(&[h1, h2], [h1, h2, b]);
-        let routes = crate::hier::HierRouteTable::try_compute(&w, &layout).unwrap();
-        let fabric = RelayFabric::new(routes, config);
-        for n in [a, g, h1, h2, b] {
-            fabric.attach(&mut w, n);
-        }
-        (w, fabric, [a, g, h1, h2, b])
-    }
-
-    #[test]
-    fn failed_gateway_reroutes_frames_through_the_secondary() {
-        let (mut w, fabric, [a, g, h1, h2, b]) = redundant_world(RelayConfig::default());
-        let received = Rc::new(Cell::new(0u64));
-        let r = received.clone();
-        fabric.bind(&mut w, b, 4, move |_w, _m| r.set(r.get() + 1));
-        // Healthy: the primary h1 carries the route.
-        fabric.send(&mut w, a, b, 4, vec![1u8; 300]).unwrap();
-        w.run();
-        assert_eq!(received.get(), 1);
-        assert_eq!(fabric.gateway_stats(h1).frames_relayed, 1);
-        assert_eq!(fabric.gateway_stats(h2).frames_relayed, 0);
-        // Fail the primary: traffic shifts to the secondary.
-        fabric.fail_gateway(&mut w, h1);
-        for _ in 0..8 {
-            fabric.send(&mut w, a, b, 4, vec![2u8; 300]).unwrap();
-        }
-        w.run();
-        assert_eq!(received.get(), 9, "every post-fail frame arrives");
-        assert_eq!(fabric.gateway_stats(h2).frames_relayed, 8);
-        assert!(fabric.frames_rerouted() >= 8, "re-routes are counted");
-        assert_eq!(fabric.downed_gateways(), vec![h1]);
-        assert_eq!(fabric.gateway_stats(g).frames_relayed, 9);
-        // Restoring brings the primary back.
-        fabric.restore_gateway(h1);
-        fabric.send(&mut w, a, b, 4, vec![3u8; 300]).unwrap();
-        w.run();
-        assert_eq!(fabric.gateway_stats(h1).frames_relayed, 2);
-        assert_eq!(received.get(), 10);
-    }
-
-    #[test]
-    fn failover_disabled_blackholes_the_failed_gateways_routes() {
-        let (mut w, fabric, [a, _, h1, h2, b]) = redundant_world(RelayConfig {
-            gateway_failover: false,
-            ..Default::default()
-        });
-        let received = Rc::new(Cell::new(0u64));
-        let r = received.clone();
-        fabric.bind(&mut w, b, 4, move |_w, _m| r.set(r.get() + 1));
-        fabric.fail_gateway(&mut w, h1);
-        for _ in 0..4 {
-            fabric.send(&mut w, a, b, 4, vec![0u8; 100]).unwrap();
-        }
-        w.run();
-        // Without failover, routing keeps pointing into the dead primary
-        // and every frame dies there, exactly accounted.
-        assert_eq!(received.get(), 0);
-        assert_eq!(fabric.gateway_stats(h1).frames_dropped_gateway_down, 4);
-        assert_eq!(fabric.gateway_stats(h2).frames_relayed, 0);
-        assert_eq!(fabric.frames_rerouted(), 0);
-    }
-
-    #[test]
-    fn frames_parked_on_a_failed_gateway_redispatch_in_credit_mode() {
-        // A tiny pool towards h1 parks most of the burst; failing h1
-        // mid-stall must re-dispatch the parked frames through h2 without
-        // losing any of them.
-        let (mut w, fabric, [a, g, h1, h2, b]) = redundant_world(RelayConfig {
-            per_hop_latency: SimDuration::from_millis(2),
-            queue_capacity: 2,
-            backpressure: BackpressureMode::Credit,
-            ..Default::default()
-        });
-        let received = Rc::new(Cell::new(0u64));
-        let r = received.clone();
-        fabric.bind(&mut w, b, 6, move |_w, _m| r.set(r.get() + 1));
-        let sent = 16u64;
-        for _ in 0..sent {
-            fabric.send(&mut w, a, b, 6, vec![5u8; 200]).unwrap();
-        }
-        // Let the burst reach g and stall on h1's pool, then fail h1.
-        w.run_for(SimDuration::from_millis(1));
-        fabric.fail_gateway(&mut w, h1);
-        w.run();
-        let (s1, s2) = (fabric.gateway_stats(h1), fabric.gateway_stats(h2));
-        assert_eq!(
-            received.get() + s1.frames_dropped(),
-            sent,
-            "every frame is delivered or exactly accounted as dying \
-             inside the failed gateway: {s1:?} {s2:?}"
-        );
-        assert!(
-            received.get() > 0 && s2.frames_relayed > 0,
-            "the secondary carries the survivors: {s2:?}"
-        );
-        assert_eq!(fabric.parked_frames(), 0, "nothing left parked");
-        // The origin and the surviving gateways conserve credits.
-        for gw in [g, h2] {
-            let s = fabric.gateway_stats(gw);
-            assert_eq!(s.credits_consumed, s.credits_returned, "{s:?}");
-            assert_eq!(fabric.outstanding_credits(gw), 0);
-        }
     }
 
     #[test]

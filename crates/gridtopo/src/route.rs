@@ -660,36 +660,6 @@ impl GridRoutes {
         }
     }
 
-    /// The next hop of [`GridRoutes::route_avoiding`]'s route.
-    pub fn next_hop_avoiding(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        down: &BTreeSet<NodeId>,
-    ) -> Option<Hop> {
-        if down.is_empty() {
-            return self.next_hop(src, dst);
-        }
-        match self {
-            GridRoutes::Hier(t) => t.next_hop_avoiding(src, dst, down),
-            GridRoutes::Flat(_) => self.route_avoiding(src, dst, down)?.first_hop(),
-        }
-    }
-
-    /// The additive cost of [`GridRoutes::route_avoiding`]'s route.
-    pub fn cost_avoiding(&self, src: NodeId, dst: NodeId, down: &BTreeSet<NodeId>) -> Option<u64> {
-        if down.is_empty() {
-            return self.cost(src, dst);
-        }
-        match self {
-            GridRoutes::Hier(t) => t.cost_avoiding(src, dst, down),
-            GridRoutes::Flat(t) => {
-                let _ = self.route_avoiding(src, dst, down)?;
-                t.cost(src, dst)
-            }
-        }
-    }
-
     /// Estimated resident bytes of the installed tables.
     pub fn table_bytes(&self) -> usize {
         match self {
@@ -779,6 +749,20 @@ mod tests {
         assert_eq!(info.worst_class, NetworkClass::Wan);
         assert_eq!(info.min_mtu, 1500);
         assert_eq!(info.bottleneck_bytes_per_sec, 12.5e6);
+    }
+
+    #[test]
+    fn flat_route_avoiding_keeps_a_clean_route_and_refuses_a_down_relay() {
+        let (w, [a, g, h, b], _) = chain_world();
+        let routes = GridRoutes::Flat(RouteTable::compute(&w));
+        let route = routes.route(a, b).unwrap();
+        assert_eq!(routes.route_avoiding(a, b, &BTreeSet::new()), Some(route));
+        // The flat oracle has no detour to offer: a down relay severs the
+        // pair instead of routing into the dead gateway.
+        for relay in [g, h] {
+            let down: BTreeSet<NodeId> = [relay].into_iter().collect();
+            assert_eq!(routes.route_avoiding(a, b, &down), None, "{relay} down");
+        }
     }
 
     #[test]

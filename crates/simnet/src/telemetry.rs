@@ -582,8 +582,6 @@ pub enum DropCause {
     NoRoute,
     /// Injected fault.
     Fault,
-    /// The gateway holding the frame was fail-stopped.
-    GatewayDown,
 }
 
 /// One typed, allocation-free trace event. Virtual timestamps live on the
@@ -650,13 +648,6 @@ pub enum TraceEvent {
     /// A parked frame resumed after a credit returned.
     RelayResumed {
         /// Node that resumed it.
-        node: NodeId,
-        /// Journey id.
-        cause: CauseId,
-    },
-    /// A relayed frame was re-routed around a down gateway.
-    RelayRerouted {
-        /// Node that re-dispatched the frame.
         node: NodeId,
         /// Journey id.
         cause: CauseId,
@@ -759,7 +750,6 @@ impl TraceEvent {
             | TraceEvent::RelayForwarded { cause, .. }
             | TraceEvent::RelayParked { cause, .. }
             | TraceEvent::RelayResumed { cause, .. }
-            | TraceEvent::RelayRerouted { cause, .. }
             | TraceEvent::RelayDropped { cause, .. }
             | TraceEvent::RelayDelivered { cause, .. } => Some(*cause),
             _ => None,

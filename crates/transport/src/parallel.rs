@@ -459,16 +459,18 @@ mod tests {
 
     #[test]
     fn data_is_reassembled_in_order() {
-        let cfg = ParallelStreamConfig {
-            n_streams: 3,
-            chunk_size: 1000,
-        };
-        let (mut world, client, server) = ps_pair(NetworkSpec::ethernet_100(), cfg);
-        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
-        client.send_all(&mut world, &data);
-        world.run();
-        let server = server.borrow().clone().unwrap();
-        assert_eq!(server.recv_all(&mut world), data);
+        for (n_streams, chunk_size, len) in [(3, 1000, 50_000u32), (4, 16 * 1024, 256 * 1024)] {
+            let cfg = ParallelStreamConfig {
+                n_streams,
+                chunk_size,
+            };
+            let (mut world, client, server) = ps_pair(NetworkSpec::ethernet_100(), cfg);
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            client.send_all(&mut world, &data);
+            world.run();
+            let server = server.borrow().clone().unwrap();
+            assert_eq!(server.recv_all(&mut world), data, "{n_streams} streams");
+        }
     }
 
     #[test]

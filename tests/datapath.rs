@@ -56,11 +56,17 @@ fn relay_roundtrip(chunk: usize, payload: &[u8]) -> Vec<u8> {
 
 #[test]
 fn relayed_stream_delivers_in_order_across_chunk_boundaries() {
-    let payload: Vec<u8> = (0..40_000usize).map(|i| (i * 31 % 251) as u8).collect();
-    for chunk in [1usize, 7, 4096] {
-        let got = relay_roundtrip(chunk, &payload);
+    let small: Vec<u8> = (0..40_000usize).map(|i| (i * 31 % 251) as u8).collect();
+    let bulk: Vec<u8> = (0..256 * 1024usize).map(|i| (i * 31 % 251) as u8).collect();
+    for (chunk, payload) in [
+        (1usize, &small),
+        (7, &small),
+        (4096, &small),
+        (64 * 1024, &bulk),
+    ] {
+        let got = relay_roundtrip(chunk, payload);
         assert_eq!(got.len(), payload.len(), "chunk size {chunk}: wrong length");
-        assert_eq!(got, payload, "chunk size {chunk}: bytes reordered");
+        assert_eq!(&got, payload, "chunk size {chunk}: bytes reordered");
     }
 }
 
