@@ -1,9 +1,5 @@
 //! Full-stack partitioned execution: the real relay/trunk/credit
-//! machinery running *across* shard worlds.
-//!
-//! The synthetic [`crate::scale`] workload proved the partitioned
-//! executor's window mechanics at 10⁵ nodes; this module promotes it to
-//! the full stack, in two steps:
+//! machinery running *across* shard worlds, in two steps:
 //!
 //! 1. **Mirror equivalence** ([`mirror_equivalence`]): every shard
 //!    builds the *entire* two-site incast grid with identical node and
@@ -21,14 +17,13 @@
 //!    Per-trunk lookahead comes from the gateway trunk latencies via
 //!    `GridTopology::trunk_lookaheads`.
 //!
-//! 2. **Ring scale** ([`ring_run`]): the measured 10⁵- and 10⁶-node
-//!    rows. Each shard hosts one full site — two Ethernet segments
-//!    bridged by a gateway running a real credit-mode [`RelayFabric`]
-//!    (hand-inserted [`RouteTable`] routes — the site's paths are known
-//!    by construction, and all-pairs Dijkstra dominated the 10⁶-node
-//!    build — store-and-forward holds, credit stalls, the lot) — and
-//!    site gateways exchange cross-shard
-//!    frames over ring trunk segments with *heterogeneous* latencies:
+//! 2. **Ring scale** ([`ring_run`]): the 10⁵-node rows. Each shard
+//!    hosts one full site — two Ethernet segments bridged by a gateway
+//!    running a real credit-mode [`RelayFabric`] over hand-inserted
+//!    [`RouteTable`] routes (the site's paths are known by
+//!    construction): store-and-forward holds, credit stalls, the lot —
+//!    and site gateways exchange cross-shard frames over ring trunk
+//!    segments with *heterogeneous* latencies:
 //!    even-indexed segments are slow, odd ones fast. The per-trunk
 //!    window mode therefore beats the global-minimum window (whose
 //!    width is pinned to the fastest segment) while producing the
@@ -46,7 +41,6 @@ use simnet::{
 };
 
 use crate::multi_site::conservation_violations;
-use crate::scale::fnv1a;
 
 /// Relay port carrying the mirror-incast payload.
 const MIRROR_PORT: u16 = 17;
@@ -281,43 +275,14 @@ pub struct RingConfig {
 }
 
 impl RingConfig {
-    /// The measured 10⁵-node row: 1000 sites × 101 nodes.
+    /// The 10⁵-node row: 1000 sites × 101 nodes.
     pub fn hundred_k() -> Self {
         RingConfig {
             shards: 1000,
             segment_nodes: 50,
             frames_per_node: 4,
             cross_frames_per_shard: 6,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            seed: 0xF011,
-        }
-    }
-
-    /// The measured 10⁶-node row: 2000 sites × 501 nodes. Wider sites
-    /// rather than 10× more shards — per-round shard activation is the
-    /// fixed cost at this scale, and a 10⁶-node grid is realistically
-    /// hundreds of big sites, not tens of thousands of tiny ones.
-    pub fn million() -> Self {
-        RingConfig {
-            shards: 2000,
-            segment_nodes: 250,
-            frames_per_node: 1,
-            cross_frames_per_shard: 2,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            seed: 0xF011,
-        }
-    }
-
-    /// The CI smoke shape: big enough that shard scheduling, credit
-    /// parking and cross-ring traffic all engage, small enough for a
-    /// debug-build CI lane.
-    pub fn smoke() -> Self {
-        RingConfig {
-            shards: 64,
-            segment_nodes: 10,
-            frames_per_node: 2,
-            cross_frames_per_shard: 3,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: 2,
             seed: 0xF011,
         }
     }
@@ -399,10 +364,8 @@ fn build_ring_shard(cfg: &RingConfig, shard: u16, world: &mut SimWorld) {
 
     // The site's routes are known by construction — near_i reaches far_i
     // through the gateway, the gateway reaches far_i directly — so the
-    // table is hand-inserted instead of computed. All-pairs Dijkstra is
-    // quadratic in segment width per source; at the 10⁶-node row it was
-    // the route build, not the event loop, that dominated wall time (and
-    // the full N² table, not the worlds, that dominated memory).
+    // table is hand-inserted instead of computed: all-pairs Dijkstra is
+    // quadratic in segment width per source.
     let mut routes = RouteTable::default();
     let (near_cost, far_cost) = (link_cost(world, near), link_cost(world, far));
     for i in 0..n {
@@ -545,10 +508,6 @@ pub struct RingResult {
     pub lookahead_violations: u64,
     /// Relay frames parked on gateway credits (credit-mode fan-in).
     pub credit_stalls: u64,
-    /// Wall-clock seconds of the window loop.
-    pub wall_seconds: f64,
-    /// Events per wall-clock second — the headline scaling number.
-    pub events_per_sec: f64,
     /// FNV-1a fingerprint of the merged per-shard telemetry digest;
     /// identical across thread counts *and* window modes.
     pub digest: String,
@@ -602,8 +561,6 @@ pub fn ring_run(cfg: &RingConfig, mode: WindowMode) -> RingResult {
         cross_unclaimed,
         lookahead_violations: report.lookahead_violations(),
         credit_stalls,
-        wall_seconds: report.wall_seconds,
-        events_per_sec: report.events_per_sec(),
         digest: format!("{:016x}", fnv1a(&report.digest())),
     }
 }
@@ -618,19 +575,14 @@ pub fn compare_windows(cfg: &RingConfig) -> (RingResult, RingResult) {
     (global, per_trunk)
 }
 
-/// Runs the per-trunk ring at each thread count — the scaling table.
-/// Every row must report the same digest (thread-count independence);
-/// on a single-core container the events/s column is flat, on real
-/// parallel hardware it scales.
-pub fn threads_table(cfg: &RingConfig, thread_counts: &[usize]) -> Vec<RingResult> {
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let mut c = cfg.clone();
-            c.threads = threads;
-            ring_run(&c, WindowMode::PerTrunk)
-        })
-        .collect()
+/// FNV-1a, 64-bit — a dependency-free fingerprint for the digest text.
+fn fnv1a(s: &str) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for b in s.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
 }
 
 // --------------------------------------------------------------------- //
@@ -642,10 +594,8 @@ pub fn threads_table(cfg: &RingConfig, thread_counts: &[usize]) -> Vec<RingResul
 pub struct FullStackReport {
     /// The mirror-equivalence outcome.
     pub equivalence: MirrorEquivalence,
-    /// Measured ring rows (10⁵ global, 10⁵ per-trunk, 10⁶ per-trunk…).
+    /// Ring rows (10⁵ global, 10⁵ per-trunk).
     pub rows: Vec<RingResult>,
-    /// The threads-vs-events/s table (per-trunk mode).
-    pub threads_table: Vec<RingResult>,
 }
 
 fn ring_row_json(r: &RingResult) -> String {
@@ -656,8 +606,7 @@ fn ring_row_json(r: &RingResult) -> String {
             "\"delivered\": {}, \"frames_crossed\": {}, \"cross_out\": {}, ",
             "\"cross_in\": {}, \"delivered_cross\": {}, ",
             "\"cross_unclaimed\": {}, \"lookahead_violations\": {}, ",
-            "\"credit_stalls\": {}, \"wall_seconds\": {:.3}, ",
-            "\"events_per_sec\": {:.0}, \"digest\": \"{}\"}}"
+            "\"credit_stalls\": {}, \"digest\": \"{}\"}}"
         ),
         r.nodes,
         r.shards,
@@ -674,8 +623,6 @@ fn ring_row_json(r: &RingResult) -> String {
         r.cross_unclaimed,
         r.lookahead_violations,
         r.credit_stalls,
-        r.wall_seconds,
-        r.events_per_sec,
         r.digest,
     )
 }
@@ -685,14 +632,13 @@ fn ring_row_json(r: &RingResult) -> String {
 pub fn fullstack_json_section(report: &FullStackReport) -> String {
     let eq = &report.equivalence;
     let rows: Vec<String> = report.rows.iter().map(ring_row_json).collect();
-    let table: Vec<String> = report.threads_table.iter().map(ring_row_json).collect();
     format!(
         concat!(
             "{{\"equivalence\": {{\"frames_total\": {}, \"delivered\": {}, ",
             "\"identical\": {}, \"conservation_violations\": {}, \"rounds\": {}, ",
             "\"frames_crossed\": {}, \"cross_out\": {}, \"cross_in\": {}, ",
             "\"lookahead_violations\": {}, \"trunk_edges\": {}}}, ",
-            "\"rows\": [{}], \"threads_table\": [{}]}}"
+            "\"rows\": [{}]}}"
         ),
         eq.frames_total,
         eq.delivered,
@@ -705,7 +651,6 @@ pub fn fullstack_json_section(report: &FullStackReport) -> String {
         eq.lookahead_violations,
         eq.trunk_edges,
         rows.join(", "),
-        table.join(", "),
     )
 }
 
@@ -776,10 +721,13 @@ mod tests {
 
     #[test]
     fn ring_digest_is_thread_count_independent() {
-        let cfg = RingConfig::tiny();
-        let rows = threads_table(&cfg, &[1, 3]);
-        assert_eq!(rows[0].digest, rows[1].digest);
-        assert_eq!(rows[0].rounds, rows[1].rounds);
+        let mut cfg = RingConfig::tiny();
+        cfg.threads = 1;
+        let a = ring_run(&cfg, WindowMode::PerTrunk);
+        cfg.threads = 3;
+        let b = ring_run(&cfg, WindowMode::PerTrunk);
+        assert_eq!(a.digest, b.digest);
+        assert_eq!(a.rounds, b.rounds);
     }
 
     #[test]
@@ -788,11 +736,9 @@ mod tests {
         let report = FullStackReport {
             equivalence: mirror_equivalence(&MirrorConfig::smoke()),
             rows: vec![ring_run(&cfg, WindowMode::Global)],
-            threads_table: threads_table(&cfg, &[1]),
         };
         let json = fullstack_json_section(&report);
         assert!(json.contains("\"equivalence\""));
-        assert!(json.contains("\"threads_table\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

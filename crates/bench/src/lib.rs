@@ -12,7 +12,6 @@ pub mod experiments;
 pub mod fullstack;
 pub mod multi_site;
 pub mod routing;
-pub mod scale;
 
 pub use experiments::*;
 pub use multi_site::{
@@ -21,7 +20,6 @@ pub use multi_site::{
     incast_sweep, multi_site_json, multi_site_run, multi_site_sweep, write_multi_site_json,
     ChurnResult, FailoverResult, IncastResult, MultiSiteResult,
 };
-pub use scale::{scale_json_section, scale_run, ScaleConfig, ScaleResult};
 
 /// Formats a byte size the way the paper's axes do.
 pub fn human_size(bytes: usize) -> String {

@@ -13,7 +13,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::time::Instant;
 
 use gridtopo::{
     check_transients, delta_reconvergences, full_recomputes, inject_link_churn, BackpressureMode,
@@ -75,9 +74,6 @@ pub struct MultiSiteResult {
     pub stream_goodput_mb_s: f64,
     /// Bytes moved in the stream phase.
     pub stream_bytes: usize,
-    /// Simulator events executed per *host* second across the whole run
-    /// (the wall-clock cost of the scenario, tracked across PRs).
-    pub events_per_sec: f64,
 }
 
 /// Frames sent in the frame-relay phase.
@@ -101,7 +97,6 @@ pub fn multi_site_run(
         layout == Layout::Star || sites >= 3,
         "a ring needs 3+ sites"
     );
-    let wall = Instant::now();
     let mut world = SimWorld::new(2024);
     let specs: Vec<SiteSpec> = (0..sites)
         .map(|i| SiteSpec::san_cluster(format!("s{i}"), 3))
@@ -200,7 +195,6 @@ pub fn multi_site_run(
         first_frame_ms,
         stream_goodput_mb_s,
         stream_bytes: STREAM_BYTES,
-        events_per_sec: world.stats.events_executed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
     }
 }
 
@@ -240,8 +234,6 @@ pub struct IncastResult {
     /// park concurrently, so — like CPU-seconds — this can exceed the
     /// run's elapsed wall-clock). Zero in drop mode.
     pub sender_stall_ms: f64,
-    /// Simulator events executed per *host* second across the whole run.
-    pub events_per_sec: f64,
 }
 
 /// Payload bytes of each incast frame (sender id + sequence + padding).
@@ -282,7 +274,6 @@ fn incast_case(
     seed: u64,
 ) -> (IncastResult, MetricsSnapshot) {
     assert!(senders >= 1 && frames_per_sender >= 1);
-    let wall = Instant::now();
     let mut world = SimWorld::new(seed);
     let grid = GridTopology::star(
         &mut world,
@@ -387,7 +378,6 @@ fn incast_case(
         elapsed_ms,
         goodput_mb_s,
         sender_stall_ms: fabric.credit_stall_ns() as f64 / 1e6 / senders as f64,
-        events_per_sec: world.stats.events_executed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
     };
     (result, world.metrics_snapshot())
 }
@@ -436,8 +426,6 @@ pub struct FailoverResult {
     pub baseline_goodput_mb_s: f64,
     /// Relative goodput dip paid for the recovery, percent.
     pub goodput_dip_pct: f64,
-    /// Simulator events executed per *host* second in the faulted run.
-    pub events_per_sec: f64,
     /// Telemetry snapshot scraped at quiescence of the faulted run —
     /// embedded in `BENCH_multi_site.json` so the artifact carries the
     /// full per-gateway/per-node counter state of the failover phase.
@@ -454,7 +442,6 @@ struct FailoverCaseOut {
     migrated: usize,
     goodput: f64,
     killed_at: usize,
-    events_per_sec: f64,
     metrics: MetricsSnapshot,
 }
 
@@ -494,7 +481,6 @@ fn failover_case_seeded(
 ) -> FailoverCaseOut {
     use padico_core::PadicoRuntime;
 
-    let wall = Instant::now();
     let mut world = SimWorld::new(seed);
     let regions = vec![
         vec![SiteSpec::san_cluster("send", senders + 2).with_gateways(2)],
@@ -676,26 +662,6 @@ fn failover_case_seeded(
         let got: Vec<u8> = log.iter().flatten().copied().collect();
         if got != payloads[s] {
             completed = false;
-            if std::env::var_os("FAILOVER_DEBUG").is_some() {
-                let mismatch = got
-                    .iter()
-                    .zip(&payloads[s])
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(got.len().min(payloads[s].len()));
-                eprintln!(
-                    "stream {s}: got {} bytes over {} conns (expected {}), first mismatch at {mismatch}",
-                    got.len(),
-                    log.len(),
-                    payloads[s].len(),
-                );
-            }
-        }
-    }
-    if std::env::var_os("FAILOVER_DEBUG").is_some() && !completed {
-        for rt in &rts {
-            for dump in rt.flight_dumps() {
-                eprintln!("{dump}");
-            }
         }
     }
     FailoverCaseOut {
@@ -704,7 +670,6 @@ fn failover_case_seeded(
         migrated,
         goodput,
         killed_at,
-        events_per_sec: world.stats.events_executed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
         metrics: world.metrics_snapshot(),
     }
 }
@@ -728,7 +693,6 @@ pub fn failover_run(senders: usize) -> FailoverResult {
         } else {
             0.0
         },
-        events_per_sec: out.events_per_sec,
         metrics: out.metrics,
     }
 }
@@ -888,11 +852,6 @@ pub struct ChurnResult {
     /// Intra-site tables recomputed across all flap steps (0: flaps only
     /// touch the backbone mask).
     pub sites_recomputed: u64,
-    /// Host-time cost of one delta step (table patch + route republish to
-    /// every runtime), averaged / worst-case, in milliseconds.
-    pub reconverge_ms_avg: f64,
-    /// Worst single-step reconvergence cost, host milliseconds.
-    pub reconverge_ms_max: f64,
     /// Transient-invariant violations (loops, blackholes, phantom routes,
     /// cost mismatches) summed over every intermediate state. Must be 0.
     pub transient_violations: usize,
@@ -900,11 +859,6 @@ pub struct ChurnResult {
     /// pristine table — the disruption footprint of the churn (bounded by
     /// the redundancy the flaps removed, not the grid size).
     pub pairs_disrupted_max: usize,
-    /// Host ms to admit a new site live (build + proxies + trunks +
-    /// republish).
-    pub admit_ms: f64,
-    /// Host ms to drain the admitted site gracefully.
-    pub drain_ms: f64,
     /// Trunks retired by the drain (both directions).
     pub trunks_retired: u32,
     /// Application exchanges probed at baseline / mid-churn / post-churn /
@@ -913,8 +867,6 @@ pub struct ChurnResult {
     /// Conservation violations (credit leaks, frame leaks, parked
     /// leftovers) in the telemetry snapshot at quiescence. Must be 0.
     pub conservation_violations: usize,
-    /// Simulator events executed per *host* second across the whole run.
-    pub events_per_sec: f64,
 }
 
 /// Bytes pushed through each churn-probe exchange.
@@ -985,7 +937,6 @@ pub fn churn_snapshot(sites: usize, flaps: usize, seed: u64) -> MetricsSnapshot 
 /// snapshot at quiescence.
 fn churn_case(sites: usize, flaps: usize, seed: u64) -> (ChurnResult, MetricsSnapshot) {
     assert!(sites >= 3, "a ring needs 3+ sites");
-    let wall = Instant::now();
     let mut world = SimWorld::new(seed);
     let specs: Vec<SiteSpec> = (0..sites)
         .map(|i| SiteSpec::san_cluster(format!("s{i}"), 3).with_gateways(2))
@@ -1014,13 +965,10 @@ fn churn_case(sites: usize, flaps: usize, seed: u64) -> (ChurnResult, MetricsSna
     let schedule = inject_link_churn(&grid, seed, flaps);
     let mut violations = 0usize;
     let mut sites_recomputed = 0u64;
-    let mut step_ms: Vec<f64> = Vec::with_capacity(schedule.deltas.len());
     let mut disrupted_max = 0usize;
     for (i, delta) in schedule.deltas.iter().enumerate() {
-        let t0 = Instant::now();
         let stats = apply_backbone_delta(&mut world, &mut grid, &rts, delta)
             .expect("flap deltas never violate gateway isolation");
-        step_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         sites_recomputed += stats.sites_recomputed as u64;
         violations += check_transients(&world, &grid).len();
         disrupted_max = disrupted_max.max(pairs_disrupted(&grid, &pristine));
@@ -1034,42 +982,32 @@ fn churn_case(sites: usize, flaps: usize, seed: u64) -> (ChurnResult, MetricsSna
 
     // ---- Live admit + drain ------------------------------------------- //
     let late = SiteSpec::san_cluster("late", 3).with_gateways(2);
-    let t0 = Instant::now();
     let admitted =
         admit_site_live(&mut world, &mut grid, &mut rts, &late, prefs).expect("admit late site");
-    let admit_ms = t0.elapsed().as_secs_f64() * 1e3;
     violations += check_transients(&world, &grid).len();
     let late_node = grid.site(admitted.index).node(2);
     exchanges_ok &= probe(&mut world, &rts, src, late_node);
     proxies.extend(admitted.proxies);
 
-    let t0 = Instant::now();
     let report = drain_site_live(&mut world, &mut grid, &rts, admitted.index).expect("drain site");
-    let drain_ms = t0.elapsed().as_secs_f64() * 1e3;
     violations += check_transients(&world, &grid).len();
     exchanges_ok &= probe(&mut world, &rts, src, far);
 
     world.run();
     let snap = world.metrics_snapshot();
     let conservation = conservation_violations(&snap).len();
-    let steps = step_ms.len();
     let result = ChurnResult {
         sites,
         flaps,
-        steps,
+        steps: schedule.deltas.len(),
         delta_reconvergences: delta_reconvergences() - delta_before,
         full_recomputes_during_churn: full_recomputes() - full_before,
         sites_recomputed,
-        reconverge_ms_avg: step_ms.iter().sum::<f64>() / steps.max(1) as f64,
-        reconverge_ms_max: step_ms.iter().cloned().fold(0.0, f64::max),
         transient_violations: violations,
         pairs_disrupted_max: disrupted_max,
-        admit_ms,
-        drain_ms,
         trunks_retired: report.trunks_retired,
         exchanges_ok,
         conservation_violations: conservation,
-        events_per_sec: world.stats.events_executed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
     };
     (result, snap)
 }
@@ -1114,7 +1052,6 @@ pub fn multi_site_json(
     incast: &[IncastResult],
     failover: &[FailoverResult],
     churn: &[ChurnResult],
-    scale: Option<&crate::scale::ScaleResult>,
     fullstack: Option<&crate::fullstack::FullStackReport>,
 ) -> String {
     let mut s = String::from("{\n  \"experiment\": \"multi_site\",\n  \"results\": [\n");
@@ -1125,7 +1062,7 @@ pub fn multi_site_json(
                 "\"frames_sent\": {}, \"frames_delivered\": {}, ",
                 "\"frames_relayed\": {}, \"frames_dropped\": {}, \"frames_lost\": {}, ",
                 "\"first_frame_ms\": {}, \"stream_goodput_mb_s\": {:.4}, ",
-                "\"stream_bytes\": {}, \"events_per_sec\": {:.0}}}{}\n"
+                "\"stream_bytes\": {}}}{}\n"
             ),
             r.sites,
             r.layout.label(),
@@ -1141,7 +1078,6 @@ pub fn multi_site_json(
                 .unwrap_or_else(|| "null".to_string()),
             r.stream_goodput_mb_s,
             r.stream_bytes,
-            r.events_per_sec,
             if i + 1 == results.len() { "" } else { "," },
         ));
     }
@@ -1153,7 +1089,7 @@ pub fn multi_site_json(
                 "\"frames_total\": {}, \"frames_delivered\": {}, \"frames_dropped\": {}, ",
                 "\"frames_lost\": {}, \"retransmissions\": {}, \"rounds\": {}, ",
                 "\"elapsed_ms\": {:.4}, \"goodput_mb_s\": {:.4}, ",
-                "\"sender_stall_ms\": {:.4}, \"events_per_sec\": {:.0}}}{}\n"
+                "\"sender_stall_ms\": {:.4}}}{}\n"
             ),
             r.senders,
             r.mode.label(),
@@ -1167,7 +1103,6 @@ pub fn multi_site_json(
             r.elapsed_ms,
             r.goodput_mb_s,
             r.sender_stall_ms,
-            r.events_per_sec,
             if i + 1 == incast.len() { "" } else { "," },
         ));
     }
@@ -1178,7 +1113,7 @@ pub fn multi_site_json(
                 "    {{\"senders\": {}, \"payload_bytes\": {}, \"killed_at_bytes\": {}, ",
                 "\"recovery_ms\": {}, \"completed\": {}, \"migrated_connections\": {}, ",
                 "\"goodput_mb_s\": {:.4}, \"baseline_goodput_mb_s\": {:.4}, ",
-                "\"goodput_dip_pct\": {:.2}, \"events_per_sec\": {:.0}}}{}\n"
+                "\"goodput_dip_pct\": {:.2}}}{}\n"
             ),
             r.senders,
             r.payload_bytes,
@@ -1191,7 +1126,6 @@ pub fn multi_site_json(
             r.goodput_mb_s,
             r.baseline_goodput_mb_s,
             r.goodput_dip_pct,
-            r.events_per_sec,
             if i + 1 == failover.len() { "" } else { "," },
         ));
     }
@@ -1200,17 +1134,9 @@ pub fn multi_site_json(
         s.push_str(&churn_json_row(r));
         s.push_str(if i + 1 == churn.len() { "\n" } else { ",\n" });
     }
-    // The measured 10⁵-node partitioned-executor row (null when the
-    // caller skipped the scale phase).
-    s.push_str("  ],\n  \"scale\": ");
-    match scale {
-        Some(r) => s.push_str(&crate::scale::scale_json_section(r)),
-        None => s.push_str("null"),
-    }
     // Full-stack partitioned execution: the mirror-world equivalence
-    // verdict, the 10⁵/10⁶-node ring rows (global vs per-trunk windows),
-    // and the threads-vs-events/s scaling table.
-    s.push_str(",\n  \"fullstack\": ");
+    // verdict and the 10⁵-node ring rows (global vs per-trunk windows).
+    s.push_str("  ],\n  \"fullstack\": ");
     match fullstack {
         Some(r) => s.push_str(&crate::fullstack::fullstack_json_section(r)),
         None => s.push_str("null"),
@@ -1233,11 +1159,9 @@ pub fn churn_json_row(r: &ChurnResult) -> String {
         concat!(
             "    {{\"sites\": {}, \"flaps\": {}, \"steps\": {}, ",
             "\"delta_reconvergences\": {}, \"full_recomputes_during_churn\": {}, ",
-            "\"sites_recomputed\": {}, \"reconverge_ms_avg\": {:.4}, ",
-            "\"reconverge_ms_max\": {:.4}, \"transient_violations\": {}, ",
-            "\"pairs_disrupted_max\": {}, \"admit_ms\": {:.4}, \"drain_ms\": {:.4}, ",
-            "\"trunks_retired\": {}, \"exchanges_ok\": {}, ",
-            "\"conservation_violations\": {}, \"events_per_sec\": {:.0}}}"
+            "\"sites_recomputed\": {}, \"transient_violations\": {}, ",
+            "\"pairs_disrupted_max\": {}, \"trunks_retired\": {}, \"exchanges_ok\": {}, ",
+            "\"conservation_violations\": {}}}"
         ),
         r.sites,
         r.flaps,
@@ -1245,16 +1169,11 @@ pub fn churn_json_row(r: &ChurnResult) -> String {
         r.delta_reconvergences,
         r.full_recomputes_during_churn,
         r.sites_recomputed,
-        r.reconverge_ms_avg,
-        r.reconverge_ms_max,
         r.transient_violations,
         r.pairs_disrupted_max,
-        r.admit_ms,
-        r.drain_ms,
         r.trunks_retired,
         r.exchanges_ok,
         r.conservation_violations,
-        r.events_per_sec,
     )
 }
 
@@ -1281,20 +1200,19 @@ pub(crate) fn snapshot_json_object(snap: &MetricsSnapshot) -> String {
     s
 }
 
-/// Writes `BENCH_multi_site.json` (the perf-trajectory artifact tracked
-/// across PRs) into the current directory and returns its path.
+/// Writes `BENCH_multi_site.json` (the committed artifact CI regenerates
+/// and diffs exactly) into the current directory and returns its path.
 pub fn write_multi_site_json(
     results: &[MultiSiteResult],
     incast: &[IncastResult],
     failover: &[FailoverResult],
     churn: &[ChurnResult],
-    scale: Option<&crate::scale::ScaleResult>,
     fullstack: Option<&crate::fullstack::FullStackReport>,
 ) -> std::io::Result<String> {
     let path = "BENCH_multi_site.json".to_string();
     std::fs::write(
         &path,
-        multi_site_json(results, incast, failover, churn, scale, fullstack),
+        multi_site_json(results, incast, failover, churn, fullstack),
     )?;
     Ok(path)
 }
@@ -1340,7 +1258,6 @@ mod tests {
         let inc = incast_run(2, 8, BackpressureMode::Credit);
         let fo = failover_run(1);
         let ch = churn_run(3, 2);
-        let scale = crate::scale::scale_run(&crate::scale::ScaleConfig::tiny());
         let fullstack = crate::fullstack::FullStackReport {
             equivalence: crate::fullstack::mirror_equivalence(
                 &crate::fullstack::MirrorConfig::smoke(),
@@ -1349,11 +1266,9 @@ mod tests {
                 &crate::fullstack::RingConfig::tiny(),
                 crate::fullstack::WindowMode::PerTrunk,
             )],
-            threads_table: vec![],
         };
-        let json = multi_site_json(&[r], &[inc], &[fo], &[ch], Some(&scale), Some(&fullstack));
+        let json = multi_site_json(&[r], &[inc], &[fo], &[ch], Some(&fullstack));
         assert!(json.contains("\"experiment\": \"multi_site\""));
-        assert!(json.contains("\"scale\""));
         assert!(json.contains("\"fullstack\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"mode\": \"per-trunk\""));
@@ -1367,7 +1282,6 @@ mod tests {
         assert!(json.contains("\"failover\""));
         assert!(json.contains("\"recovery_ms\""));
         assert!(json.contains("\"churn\""));
-        assert!(json.contains("\"reconverge_ms_avg\""));
         assert!(json.contains("\"transient_violations\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

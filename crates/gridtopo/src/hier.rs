@@ -485,10 +485,10 @@ impl HierRouteTable {
                 let removed = self.layout.remove_site(*site);
                 let gone: BTreeSet<NodeId> = removed.into_iter().collect();
                 let before = self.intra_next.len();
-                // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would regress the events/s floors")
+                // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would slow the 10⁵-node hier build")
                 self.intra_next
                     .retain(|(a, b), _| !gone.contains(a) && !gone.contains(b));
-                // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would regress the events/s floors")
+                // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would slow the 10⁵-node hier build")
                 self.intra_cost
                     .retain(|(a, b), _| !gone.contains(a) && !gone.contains(b));
                 stripped += before - self.intra_next.len();
@@ -627,10 +627,10 @@ impl HierRouteTable {
     fn recompute_site_intra(&mut self, world: &SimWorld, site: usize) -> usize {
         let before = self.intra_next.len();
         let layout = &self.layout;
-        // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would regress the events/s floors")
+        // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would slow the 10⁵-node hier build")
         self.intra_next
             .retain(|(a, _), _| layout.site_of(*a) != Some(site));
-        // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would regress the events/s floors")
+        // simlint: allow(D1, reason = "pure key predicate over a ~GB-scale table; the survivor set is visit-order independent and lookups never iterate; a BTreeMap here would slow the 10⁵-node hier build")
         self.intra_cost
             .retain(|(a, _), _| layout.site_of(*a) != Some(site));
         let stripped = before - self.intra_next.len();

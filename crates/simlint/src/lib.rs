@@ -11,10 +11,10 @@
 //!
 //! - **D1** — no HashMap/HashSet iteration in snapshot/digest/trace/
 //!   scheduling paths (hash order is not part of the seed).
-//! - **D2** — no wall clock or OS entropy outside bench modules.
+//! - **D2** — no wall clock or OS entropy outside the routing bench.
 //! - **D3** — no pointer-address formatting or hashing in anything
 //!   serialized.
-//! - **D4** — threads and `std::sync` only in the partitioned executors.
+//! - **D4** — threads and `std::sync` only in the partitioned executor.
 //! - **C1** — every conservation-family counter has its partner
 //!   registered and the pair is gated in `conservation_violations`.
 //! - **H1** — unwrap/expect density caps in hot-path modules, no

@@ -155,7 +155,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     "D2",
                     t.line,
                     format!(
-                        "{kind} (`{}`) outside the bench wall-clock modules: seeded \
+                        "{kind} (`{}`) outside the routing bench: seeded \
                          simulations must be replayable from the seed alone",
                         t.text
                     ),
@@ -167,7 +167,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     &mut raw_findings,
                     "D2",
                     t.line,
-                    "`rand::` outside the bench wall-clock modules: use the seeded \
+                    "`rand::` outside the routing bench: use the seeded \
                      `simnet::SimRng`"
                         .into(),
                 );
@@ -181,8 +181,8 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     &mut raw_findings,
                     "D2",
                     t.line,
-                    "environment-dependent behavior (`env::var`) outside the bench \
-                     modules: a run must be a pure function of its seed and inputs"
+                    "environment-dependent behavior (`env::var`) outside the routing \
+                     bench: a run must be a pure function of its seed and inputs"
                         .into(),
                 );
             }
@@ -240,9 +240,9 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     "D4",
                     t.line,
                     format!(
-                        "`{}` outside the partitioned executor modules: the simulator is \
+                        "`{}` outside the partitioned executor: the simulator is \
                          single-threaded by construction; concurrency belongs to \
-                         simnet::shard / bench::{{fullstack,scale}}",
+                         simnet::shard",
                         t.text
                     ),
                 );
@@ -256,9 +256,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     &mut raw_findings,
                     "D4",
                     t.line,
-                    "`thread::spawn`/`thread::scope` outside the partitioned executor \
-                     modules"
-                        .into(),
+                    "`thread::spawn`/`thread::scope` outside the partitioned executor".into(),
                 );
             }
             if t.text == "std"
@@ -270,7 +268,7 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
                     &mut raw_findings,
                     "D4",
                     t.line,
-                    "`std::sync` outside the partitioned executor modules".into(),
+                    "`std::sync` outside the partitioned executor".into(),
                 );
             }
         }
@@ -759,6 +757,6 @@ mod tests {
         let src = "use std::time::Instant;\nuse std::sync::Mutex;\n";
         // Instant on line 1; Mutex + std::sync dedup to one D4 on line 2.
         assert_eq!(findings("crates/simnet/src/x.rs", src).len(), 2);
-        assert!(findings("crates/bench/src/fullstack.rs", src).is_empty());
+        assert!(findings("examples/x.rs", src).is_empty());
     }
 }

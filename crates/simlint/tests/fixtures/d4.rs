@@ -1,5 +1,5 @@
 // Fixture: D4 fires exactly once — a thread spawned outside the
-// partitioned executor modules.
+// partitioned executor.
 pub fn off_thread() {
     let handle = std::thread::spawn(|| 7u64);
     let _ = handle;

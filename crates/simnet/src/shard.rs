@@ -196,26 +196,14 @@ pub struct PartitionReport {
     pub events_total: u64,
     /// Total frames exchanged between shards.
     pub frames_crossed: u64,
-    /// Wall-clock seconds spent in the window loop.
-    pub wall_seconds: f64,
     /// Worker threads used.
     pub threads: usize,
 }
 
 impl PartitionReport {
-    /// Virtual events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events_total as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Deterministic digest of the entire run — per-shard clocks,
-    /// counters and full snapshots, excluding wall-clock fields. Two
-    /// runs of the same partition spec must produce equal digests
-    /// regardless of thread count.
+    /// counters and full snapshots. Two runs of the same partition spec
+    /// must produce equal digests regardless of thread count.
     pub fn digest(&self) -> String {
         crate::telemetry::merged_digest(self.outcomes.iter().map(|o| {
             let header = format!(
@@ -290,8 +278,6 @@ where
     let mut rounds = 0u64;
     let mut events_total = 0u64;
     let mut frames_crossed = 0u64;
-    // simlint: allow(D2, reason = "wall-clock events/s reporting only; never feeds event ordering, digests, or snapshots")
-    let started = std::time::Instant::now();
 
     let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(cfg.shards as usize);
     std::thread::scope(|scope| {
@@ -453,7 +439,6 @@ where
         rounds,
         events_total,
         frames_crossed,
-        wall_seconds: started.elapsed().as_secs_f64(),
         threads,
     }
 }
