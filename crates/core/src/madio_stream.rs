@@ -5,6 +5,12 @@
 //! MadIO is message-based; a VLink is a connected stream. This module
 //! implements a tiny connection protocol (CONNECT / ACCEPT / DATA / CLOSE)
 //! on one MadIO tag so any number of logical streams share the SAN.
+//!
+//! A stream's CLOSE leaves after every DATA message it had already
+//! scheduled, so the peer sees all the data before end of stream. The
+//! driver forgets a stream once its own CLOSE is sent and the peer's has
+//! arrived: nothing more can arrive for it, and the handles still held by
+//! the layer above keep its buffered data readable.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -39,10 +45,34 @@ struct StreamState {
     refused: bool,
     peer_closed: bool,
     self_closed: bool,
+    /// The CLOSE message has actually been handed to MadIO.
+    close_sent: bool,
+    /// DATA messages scheduled but not yet handed to MadIO; a CLOSE waits
+    /// for them.
+    data_in_flight: u32,
     recv_buf: SegBuf,
     readable_cb: Option<ReadableCallback>,
     notify_pending: bool,
     bytes_sent: u64,
+}
+
+impl StreamState {
+    fn new(remote_rank: usize, stream_id: u64, established: bool) -> StreamState {
+        StreamState {
+            remote_rank,
+            stream_id,
+            established,
+            refused: false,
+            peer_closed: false,
+            self_closed: false,
+            close_sent: false,
+            data_in_flight: 0,
+            recv_buf: SegBuf::new(),
+            readable_cb: None,
+            notify_pending: false,
+            bytes_sent: 0,
+        }
+    }
 }
 
 /// One logical byte stream carried over MadIO messages.
@@ -106,6 +136,12 @@ impl MadStreamDriver {
         self.inner.borrow_mut().listeners.remove(&service);
     }
 
+    /// Streams the driver still demultiplexes to.
+    #[cfg(test)]
+    pub(crate) fn stream_count(&self) -> usize {
+        self.inner.borrow().streams.len()
+    }
+
     /// Opens a stream to the node of `remote_rank` (rank within the MadIO
     /// channel group) on `service`.
     pub fn connect(&self, world: &mut SimWorld, remote_rank: usize, service: u16) -> MadStream {
@@ -115,18 +151,11 @@ impl MadStreamDriver {
             inner.next_stream_id += 1;
             (inner.madio.clone(), id)
         };
-        let state = Rc::new(RefCell::new(StreamState {
+        let state = Rc::new(RefCell::new(StreamState::new(
             remote_rank,
             stream_id,
-            established: false,
-            refused: false,
-            peer_closed: false,
-            self_closed: false,
-            recv_buf: SegBuf::new(),
-            readable_cb: None,
-            notify_pending: false,
-            bytes_sent: 0,
-        }));
+            false,
+        )));
         self.inner
             .borrow_mut()
             .streams
@@ -170,18 +199,11 @@ impl MadStreamDriver {
                     );
                     return;
                 }
-                let state = Rc::new(RefCell::new(StreamState {
-                    remote_rank: msg.src_rank,
+                let state = Rc::new(RefCell::new(StreamState::new(
+                    msg.src_rank,
                     stream_id,
-                    established: true,
-                    refused: false,
-                    peer_closed: false,
-                    self_closed: false,
-                    recv_buf: SegBuf::new(),
-                    readable_cb: None,
-                    notify_pending: false,
-                    bytes_sent: 0,
-                }));
+                    true,
+                )));
                 self.inner
                     .borrow_mut()
                     .streams
@@ -233,7 +255,10 @@ impl MadStreamDriver {
                             st.recv_buf.push_bytes(seg.clone());
                         }
                     }
-                    KIND_CLOSE => state.borrow_mut().peer_closed = true,
+                    KIND_CLOSE => {
+                        state.borrow_mut().peer_closed = true;
+                        stream.maybe_forget();
+                    }
                     _ => unreachable!(),
                 }
                 if matches!(kind, KIND_DATA | KIND_CLOSE | KIND_REFUSE) {
@@ -279,6 +304,38 @@ impl MadStream {
     pub fn is_refused(&self) -> bool {
         self.state.borrow().refused
     }
+
+    /// Hands this stream's CLOSE to MadIO.
+    fn send_close(&self, world: &mut SimWorld) {
+        let (remote_rank, stream_id) = {
+            let mut st = self.state.borrow_mut();
+            st.close_sent = true;
+            (st.remote_rank, st.stream_id)
+        };
+        let madio = self.driver.inner.borrow().madio.clone();
+        madio.send(
+            world,
+            remote_rank,
+            MadIOTag::VLINK,
+            vec![(
+                encode_header(KIND_CLOSE, stream_id, 0),
+                madeleine::SendMode::Safer,
+            )],
+        );
+        self.maybe_forget();
+    }
+
+    /// Drops the driver's entry once both CLOSEs have crossed: the peer
+    /// sends nothing after its CLOSE, so no message can need the entry.
+    fn maybe_forget(&self) {
+        let (id, done) = {
+            let st = self.state.borrow();
+            (st.stream_id, st.close_sent && st.peer_closed)
+        };
+        if done {
+            self.driver.inner.borrow_mut().streams.remove(&id);
+        }
+    }
 }
 
 impl MadStream {
@@ -302,10 +359,15 @@ impl MadStream {
             return 0;
         }
         let len = payload.len();
-        self.state.borrow_mut().bytes_sent += len as u64;
+        {
+            let mut st = self.state.borrow_mut();
+            st.bytes_sent += len as u64;
+            st.data_in_flight += 1;
+        }
         let header = encode_header(KIND_DATA, stream_id, 0);
         // The stream emulation charges its per-message cost before handing
         // the message to MadIO.
+        let stream = self.clone();
         world.schedule_after(overhead, move |world| {
             madio.send(
                 world,
@@ -316,6 +378,14 @@ impl MadStream {
                     (payload, madeleine::SendMode::Cheaper),
                 ],
             );
+            let close_now = {
+                let mut st = stream.state.borrow_mut();
+                st.data_in_flight -= 1;
+                st.data_in_flight == 0 && st.self_closed && !st.close_sent
+            };
+            if close_now {
+                stream.send_close(world);
+            }
         });
         len
     }
@@ -357,27 +427,15 @@ impl ByteStream for MadStream {
     }
 
     fn close(&self, world: &mut SimWorld) {
-        let (madio, remote_rank, stream_id, already) = {
+        let close_now = {
             let mut st = self.state.borrow_mut();
-            let already = st.self_closed;
+            let first = !st.self_closed;
             st.self_closed = true;
-            (
-                self.driver.inner.borrow().madio.clone(),
-                st.remote_rank,
-                st.stream_id,
-                already,
-            )
+            // With DATA still scheduled, the last of it sends the CLOSE.
+            first && st.data_in_flight == 0
         };
-        if !already {
-            madio.send(
-                world,
-                remote_rank,
-                MadIOTag::VLINK,
-                vec![(
-                    encode_header(KIND_CLOSE, stream_id, 0),
-                    madeleine::SendMode::Safer,
-                )],
-            );
+        if close_now {
+            self.send_close(world);
         }
     }
 
@@ -454,6 +512,99 @@ mod tests {
         let server = accepted.borrow().clone().unwrap();
         assert_eq!(server.recv_all(&mut world), b"last words");
         assert!(server.is_finished());
+    }
+
+    /// Connects `d0` to `d1` and returns both ends of the stream.
+    fn connected(
+        world: &mut SimWorld,
+        d0: &MadStreamDriver,
+        d1: &MadStreamDriver,
+    ) -> (MadStream, MadStream) {
+        let accepted: Rc<RefCell<Option<MadStream>>> = Rc::new(RefCell::new(None));
+        let a = accepted.clone();
+        d1.listen(9, move |_w, s| *a.borrow_mut() = Some(s));
+        let client = d0.connect(world, 1, 9);
+        world.run();
+        let server = accepted.borrow_mut().take().unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn close_waits_for_the_data_written_before_it() {
+        let (mut world, d0, d1) = setup();
+        let (client, server) = connected(&mut world, &d0, &d1);
+        // What the receiver sees at each notification: bytes so far and
+        // whether the stream had finished.
+        let seen: Rc<RefCell<Vec<(usize, bool)>>> = Rc::default();
+        let got: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let (s, g, server2) = (seen.clone(), got.clone(), server.clone());
+        server.set_readable_callback(Box::new(move |world| {
+            g.borrow_mut().extend(server2.recv_all(world));
+            s.borrow_mut()
+                .push((g.borrow().len(), server2.is_finished()));
+        }));
+        let bulk: Vec<u8> = (0..100_000usize).map(|i| (i % 251) as u8).collect();
+        client.send_all(&mut world, b"0123456789");
+        client.send_all(&mut world, &bulk);
+        client.close(&mut world);
+        world.run();
+        let want = [&b"0123456789"[..], &bulk].concat();
+        assert_eq!(*got.borrow(), want);
+        let seen = seen.borrow();
+        assert_eq!(seen.last(), Some(&(want.len(), true)), "{seen:?}");
+        assert!(
+            seen.iter().all(|&(n, fin)| !fin || n == want.len()),
+            "end of stream announced before the data: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn vlink_over_madio_announces_finished_after_the_data() {
+        use crate::vlink::{VLink, VLinkEvent, VLinkMethod};
+        let (mut world, d0, d1) = setup();
+        let (client, server) = connected(&mut world, &d0, &d1);
+        let client = VLink::from_stream(Rc::new(client), VLinkMethod::MadIo);
+        let server = VLink::from_stream(Rc::new(server), VLinkMethod::MadIo);
+        let events: Rc<RefCell<Vec<(VLinkEvent, usize)>>> = Rc::default();
+        let got: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let (e, g, server2) = (events.clone(), got.clone(), server.clone());
+        server.set_handler(move |world, ev| {
+            g.borrow_mut().extend(server2.read_now(world, usize::MAX));
+            e.borrow_mut().push((ev, g.borrow().len()));
+        });
+        client.post_write(&mut world, b"0123456789");
+        client.close(&mut world);
+        world.run();
+        assert_eq!(*got.borrow(), b"0123456789");
+        let events = events.borrow();
+        assert_eq!(
+            events.last(),
+            Some(&(VLinkEvent::Finished, 10)),
+            "{events:?}"
+        );
+        assert_eq!(
+            events
+                .iter()
+                .filter(|(ev, _)| *ev == VLinkEvent::Finished)
+                .count(),
+            1,
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn streams_are_forgotten_once_both_closes_cross() {
+        let (mut world, d0, d1) = setup();
+        let (client, server) = connected(&mut world, &d0, &d1);
+        client.send_all(&mut world, b"request");
+        client.close(&mut world);
+        world.run();
+        assert_eq!(d0.stream_count(), 1, "the peer has not closed yet");
+        assert_eq!(server.recv_all(&mut world), b"request");
+        server.close(&mut world);
+        world.run();
+        assert_eq!((d0.stream_count(), d1.stream_count()), (0, 0));
+        assert!(client.is_finished() && server.is_finished());
     }
 
     #[test]

@@ -789,20 +789,19 @@ fn splice_incoming_with_probe(
     // Per-connection state: buffer the header, then splice.
     let pending: Rc<RefCell<SegBuf>> = Rc::new(RefCell::new(SegBuf::new()));
     let onward: Rc<RefCell<Option<VLink>>> = Rc::new(RefCell::new(None));
-    let refused = Rc::new(Cell::new(false));
     let retry_pending = Rc::new(Cell::new(false));
     // The pump re-invokes itself from poll events, so it lives in a slot
-    // it can reach through. The closure only holds the slot weakly (the
-    // readable callback keeps it alive), so the slot and the closure never
-    // form their own reference cycle.
+    // it can reach through. The closure only holds the slot weakly and the
+    // incoming leg's readable callback owns it, so a paused pump stays
+    // reachable by its retry timer for exactly as long as the leg can
+    // still wake it. Once the leg is finished and the onward link closed,
+    // the pump swaps that callback for a no-op, which frees the pump, the
+    // slot and everything they hold.
     type Pump = Rc<dyn Fn(&mut SimWorld)>;
     let pump_slot: Rc<RefCell<Option<Pump>>> = Rc::new(RefCell::new(None));
     let slot_for_pump = Rc::downgrade(&pump_slot);
     let conn2 = conn.clone();
     let pump = move |world: &mut SimWorld| {
-        if refused.get() {
-            return;
-        }
         if rt.is_dead() {
             // Fail-stop: a killed gateway consumes nothing more. Both
             // legs are closed in an orderly way, so everything the splice
@@ -864,13 +863,14 @@ fn splice_incoming_with_probe(
             // read, so a paused pump can never close early.
             if conn2.is_finished() {
                 link.close(world);
+                conn2.set_readable_callback(Box::new(|_| {}));
             }
             return;
         }
         let refuse = |world: &mut SimWorld| {
-            refused.set(true);
             stats.borrow_mut().connections_refused += 1;
             conn2.close(world);
+            conn2.set_readable_callback(Box::new(|_| {}));
         };
         {
             let mut buf = pending.borrow_mut();
@@ -986,19 +986,21 @@ fn splice_incoming_with_probe(
                 link.post_write_bytes(world, rest);
             }
         }
-        *onward.borrow_mut() = Some(link);
         if conn2.is_finished() {
-            if let Some(link) = onward.borrow().clone() {
-                link.close(world);
-            }
+            link.close(world);
+            conn2.set_readable_callback(Box::new(|_| {}));
         }
+        *onward.borrow_mut() = Some(link);
     };
     let pump: Pump = Rc::new(pump);
     *pump_slot.borrow_mut() = Some(pump.clone());
     // Data buffered before this callback is installed (the header can race
     // the handshake) is re-announced by the SysIO accept dispatch, so
     // installing the callback is all that is needed.
-    conn.set_readable_callback(Box::new(move |world| pump(world)));
+    conn.set_readable_callback(Box::new(move |world| {
+        let _keep = &pump_slot;
+        pump(world)
+    }));
 }
 
 #[cfg(test)]
@@ -1013,6 +1015,44 @@ mod tests {
         assert_eq!(ttl, 5);
         assert_eq!(dst, NodeId(300));
         assert_eq!(service, 1234);
+    }
+
+    #[test]
+    fn a_paused_splice_resumes_and_delivers_every_byte() {
+        // The client's leg into its gateway is a SAN, the next leg a WAN
+        // trunk: the forward pump outruns the trunk and pauses above the
+        // high water mark with data left on the incoming leg. Nothing more
+        // arrives on that leg, so only the retry timer can wake the pump.
+        let mut world = SimWorld::new(75);
+        let grid = gridtopo::GridTopology::two_sites(&mut world, 2);
+        let (rts, _proxies) =
+            crate::runtime::runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
+        let dst = grid.site(1).node(1);
+        let got: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let g = got.clone();
+        rts[3].vlink_listen(&mut world, 640, move |_world, v| {
+            let (v2, g) = (v.clone(), g.clone());
+            v.set_handler(move |world, ev| {
+                if ev == VLinkEvent::Readable {
+                    g.borrow_mut().extend(v2.read_now(world, usize::MAX));
+                }
+            });
+        });
+        let client = rts[1].vlink_connect(&mut world, dst, 640);
+        let payload: Vec<u8> = (0..4 * SPLICE_HIGH_WATER as usize)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        // Splice first; then the second half arrives while the trunk is
+        // still busy with the first, and finds the pump paused.
+        let half = payload.len() / 2;
+        client.post_write(&mut world, &payload[..1]);
+        world.run();
+        client.post_write(&mut world, &payload[1..half]);
+        world.run_for(SimDuration::from_millis(1));
+        client.post_write(&mut world, &payload[half..]);
+        world.run();
+        assert_eq!(got.borrow().len(), payload.len(), "every byte relayed");
+        assert!(*got.borrow() == payload, "relayed bytes are exact");
     }
 
     #[test]

@@ -1398,4 +1398,131 @@ mod tests {
         assert_eq!(d1, d2);
         assert_eq!(t1, t2, "virtual end time must be bit-identical");
     }
+
+    /// Entries of every per-stream table on the grid: MadIO stream
+    /// drivers, then the trunk demultiplexers (outgoing and accepted).
+    fn stream_tables(rts: &[PadicoRuntime]) -> (usize, usize) {
+        let mut madio = 0;
+        let mut trunk = 0;
+        for rt in rts {
+            let inner = rt.inner.borrow();
+            madio += inner.madstream.as_ref().map_or(0, |d| d.stream_count());
+            let muxes = inner.trunks.values().chain(inner.accepted_trunks.iter());
+            trunk += muxes.map(|m| m.stream_count()).sum::<usize>();
+        }
+        (madio, trunk)
+    }
+
+    #[test]
+    fn finished_relayed_flows_leave_nothing_behind() {
+        // 200 short relayed flows (connect, request, one-byte ack, close)
+        // on a 3-site grid: once the world is quiet again, no per-stream
+        // table holds an entry the flows added, and no VLink, driver or
+        // TCP connection they created is still alive.
+        let mut world = SimWorld::new(31);
+        let specs: Vec<gridtopo::SiteSpec> = (0..3)
+            .map(|i| gridtopo::SiteSpec::san_cluster(format!("s{i}"), 3))
+            .collect();
+        let grid = GridTopology::star(&mut world, &specs, simnet::NetworkSpec::vthd_wan());
+        let prefs = SelectorPreferences {
+            relay_backpressure: crate::selector::BackpressureMode::Credit,
+            ..Default::default()
+        };
+        let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, prefs);
+        type Probes = Vec<(
+            std::rc::Weak<dyn std::any::Any>,
+            std::rc::Weak<dyn ByteStream>,
+        )>;
+        let probes: Rc<RefCell<Probes>> = Rc::default();
+        let workers: Vec<usize> = (0..rts.len())
+            .filter(|&i| {
+                grid.sites
+                    .iter()
+                    .all(|s| !s.gateways.contains(&rts[i].node()))
+            })
+            .collect();
+        for &i in &workers {
+            let p = probes.clone();
+            rts[i].vlink_listen(&mut world, 700, move |_w, v| {
+                p.borrow_mut()
+                    .push((v.state_probe(), Rc::downgrade(&v.stream())));
+                let v2 = v.clone();
+                let mut got = 0;
+                v.set_handler(move |w, ev| match ev {
+                    crate::vlink::VLinkEvent::Readable => {
+                        got += v2.read_now(w, usize::MAX).len();
+                        if got == 7 {
+                            v2.post_write(w, &[1]);
+                        }
+                    }
+                    crate::vlink::VLinkEvent::Finished => v2.close(w),
+                    crate::vlink::VLinkEvent::Connected => {}
+                });
+            });
+        }
+        world.run();
+        let site_of = |n: NodeId| grid.sites.iter().position(|s| s.nodes.contains(&n));
+        let before = stream_tables(&rts);
+        let mut clients = Vec::new();
+        for flow in 0.. {
+            if clients.len() == 200 {
+                break;
+            }
+            let src = workers[flow % workers.len()];
+            let dst = workers[(flow * 5 + 2) % workers.len()];
+            let (src_rt, dst_node) = (&rts[src], rts[dst].node());
+            if site_of(src_rt.node()) == site_of(dst_node) {
+                continue;
+            }
+            let link = src_rt.vlink_connect(&mut world, dst_node, 700);
+            assert!(matches!(link.method(), VLinkMethod::Relayed { .. }));
+            link.post_write(&mut world, b"request");
+            let l2 = link.clone();
+            link.set_handler(move |w, ev| {
+                if ev == crate::vlink::VLinkEvent::Readable && !l2.read_now(w, 1).is_empty() {
+                    l2.close(w);
+                }
+            });
+            probes
+                .borrow_mut()
+                .push((link.state_probe(), Rc::downgrade(&link.stream())));
+            clients.push(link);
+            world.run();
+        }
+        assert_eq!(
+            probes.borrow().len(),
+            2 * clients.len(),
+            "every flow accepted"
+        );
+        assert_eq!(
+            stream_tables(&rts),
+            before,
+            "(MadIO streams, trunk streams)"
+        );
+        // The client legs ride TCP: a token in each connection's callback
+        // outlives the handles below only if its stack still holds it.
+        let tokens: Vec<std::rc::Weak<()>> = clients
+            .drain(..)
+            .map(|link| {
+                assert!(link.is_finished());
+                let token = Rc::new(());
+                let weak = Rc::downgrade(&token);
+                link.stream().set_readable_callback(Box::new(move |_| {
+                    let _keep = &token;
+                }));
+                weak
+            })
+            .collect();
+        assert!(
+            tokens.iter().all(|t| t.upgrade().is_none()),
+            "TCP connections reaped"
+        );
+        for (link, driver) in probes.borrow().iter() {
+            assert!(link.upgrade().is_none(), "a finished VLink is still alive");
+            assert!(
+                driver.upgrade().is_none(),
+                "a finished driver is still alive"
+            );
+        }
+    }
 }

@@ -467,7 +467,7 @@ impl TrunkMux {
                     inner.warmup_charge += charge;
                 }
             }
-            self.send_frame(world, 0, KIND_WARMUP, Bytes::from(vec![0u8; chunk]));
+            self.send_frame(world, 0, KIND_WARMUP, warmup_pad(chunk));
             left -= chunk;
         }
     }
@@ -819,6 +819,12 @@ impl TrunkMux {
             mux: self.clone(),
             state,
         }
+    }
+
+    /// Streams the demultiplexer still tracks.
+    #[cfg(test)]
+    pub(crate) fn stream_count(&self) -> usize {
+        self.inner.borrow().streams.len()
     }
 
     /// Bytes the carrier refused because it died or was closed; they are
@@ -1462,6 +1468,19 @@ fn split_frames(mut data: Bytes) -> Vec<Bytes> {
         out.push(data);
     }
     out
+}
+
+thread_local! {
+    /// One frame's worth of zeros, shared by every warm-up frame this
+    /// thread sends: the padding is never read, so slicing one refcounted
+    /// chunk keeps a grid's eager trunk warm-ups from each holding their
+    /// own zeroed buffers in the carriers' send queues.
+    static WARMUP_PAD: Bytes = Bytes::from(vec![0u8; MAX_FRAME_PAYLOAD]);
+}
+
+/// `len` bytes of warm-up padding (`len <= MAX_FRAME_PAYLOAD`).
+fn warmup_pad(len: usize) -> Bytes {
+    WARMUP_PAD.with(|pad| pad.slice(..len))
 }
 
 fn credit_payload(amount: usize) -> Bytes {

@@ -121,6 +121,14 @@ impl VLink {
         self.method
     }
 
+    /// A weak handle on this link's state: it stops upgrading once every
+    /// handle and every callback holding the link is gone.
+    #[cfg(test)]
+    pub(crate) fn state_probe(&self) -> std::rc::Weak<dyn std::any::Any> {
+        let weak: std::rc::Weak<RefCell<VLinkState>> = Rc::downgrade(&self.state);
+        weak
+    }
+
     /// The underlying byte stream (for tests and adapters).
     pub fn stream(&self) -> Rc<dyn ByteStream> {
         self.stream.clone()
@@ -159,7 +167,8 @@ impl VLink {
     }
 
     /// Registers the completion handler. Events already due (connection,
-    /// pending data) are re-announced on the next completion.
+    /// pending data) are re-announced on the next completion. The link
+    /// drops its handler once it has announced [`VLinkEvent::Finished`].
     pub fn set_handler(&self, handler: impl FnMut(&mut SimWorld, VLinkEvent) + 'static) {
         self.state.borrow_mut().handler = Some(Box::new(handler));
     }
@@ -321,6 +330,7 @@ impl VLink {
             }
             events
         };
+        let finished = events.last() == Some(&VLinkEvent::Finished);
         for ev in events {
             let handler = self.state.borrow_mut().handler.take();
             if let Some(mut h) = handler {
@@ -330,6 +340,14 @@ impl VLink {
                     st.handler = Some(h);
                 }
             }
+        }
+        if finished {
+            // Nothing can follow Finished. The handler usually holds this
+            // link and the driver's callback always does: release both so
+            // the link and its driver are freed once the caller lets go.
+            let handler = self.state.borrow_mut().handler.take();
+            drop(handler);
+            self.stream.set_readable_callback(Box::new(|_| {}));
         }
     }
 }

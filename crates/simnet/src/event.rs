@@ -8,24 +8,31 @@
 //! exact `(time, seq)` order — property-tested against a heap oracle in
 //! `tests/properties.rs`.
 //!
-//! Cancellation is tombstone-based: a cancelled entry stays in the wheel
-//! until popped (and skipped) — but the queue now *compacts* itself when
-//! tombstones outnumber half the live entries, so a workload that
-//! schedules and cancels many timers (retransmit timers, stall probes,
-//! heartbeats) no longer accumulates dead entries without bound. The
+//! Callbacks live in a slab next to the wheel: each wheel entry carries
+//! the index of its slot, and a slot holds the entry's sequence number and
+//! its callback until the event fires or is cancelled. Cancellation is
+//! therefore exact: [`EventQueue::cancel`] takes the callback out of its
+//! slot (freeing whatever it captured at once) and returns `true` only for
+//! an event that is still pending. The wheel entry stays behind as a
+//! tombstone until it is popped (and skipped), or until tombstones
+//! outnumber half the live entries and the queue *compacts* them away;
+//! either way its slot goes back to a free list. The queue's memory is
+//! O(peak pending), whatever a run schedules or cancels in total, and the
 //! [`EventQueue::cancelled_pending`] stat exposes the current tombstone
 //! count.
-
-use std::collections::HashSet;
 
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 use crate::world::SimWorld;
 
 /// Identifier of a scheduled event, usable to cancel it before it fires:
-/// the queue's insertion sequence number.
+/// the queue's insertion sequence number and the slab slot holding the
+/// event's callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 /// The callback type executed when an event fires.
 pub type EventFn = Box<dyn FnOnce(&mut SimWorld)>;
@@ -34,18 +41,29 @@ pub type EventFn = Box<dyn FnOnce(&mut SimWorld)>;
 /// pays off once a meaningful number of tombstones can be reclaimed.
 const COMPACT_FLOOR: usize = 64;
 
+/// One slab entry, owned by exactly one wheel entry from push until that
+/// entry is popped, skipped or compacted away.
+struct Slot {
+    /// Sequence number of the event occupying (or last occupying) the slot.
+    seq: u64,
+    /// The pending callback; `None` once the event fired or was cancelled.
+    callback: Option<EventFn>,
+}
+
 /// Priority queue of pending events ordered by (time, insertion sequence).
 #[derive(Default)]
 pub struct EventQueue {
-    wheel: TimerWheel<EventFn>,
+    wheel: TimerWheel<u32>,
+    slots: Vec<Slot>,
+    /// Slots no wheel entry refers to, reused before the slab grows.
+    free: Vec<u32>,
     next_seq: u64,
-    cancelled: HashSet<u64>,
     live: usize,
     compactions: u64,
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
+    /// Creates an empty queue. It allocates nothing until the first push.
     pub fn new() -> Self {
         Self::default()
     }
@@ -63,7 +81,7 @@ impl EventQueue {
     /// Number of cancelled entries still occupying the wheel (tombstones
     /// awaiting pop-skip or compaction).
     pub fn cancelled_pending(&self) -> usize {
-        self.wheel.len().saturating_sub(self.live)
+        self.wheel.len() - self.live
     }
 
     /// How many times the queue has compacted tombstones away.
@@ -75,72 +93,88 @@ impl EventQueue {
     pub fn push(&mut self, time: SimTime, callback: EventFn) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.push(time.as_nanos(), seq, callback);
+        let entry = Slot {
+            seq,
+            callback: Some(callback),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.wheel.push(time.as_nanos(), seq, slot);
         self.live += 1;
-        EventId(seq)
+        EventId { seq, slot }
     }
 
-    /// Cancels a pending event. Returns `true` the first time it is
-    /// called with an id this queue issued, `false` for an id already
-    /// cancelled or never issued.
-    ///
-    /// The queue keeps no per-id record of what has fired, so the first
-    /// `cancel` of an id whose event *already ran* also returns `true`
-    /// and takes one off [`len`](Self::len) although nothing was
-    /// pending. Callers must drop an id once its event has fired.
+    /// Cancels a pending event and drops its callback at once. Returns
+    /// `true` only if the event was still pending: an id whose event
+    /// already fired, an id already cancelled and an id this queue never
+    /// issued all return `false` and change nothing.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
+        let Some(slot) = self.slots.get_mut(id.slot as usize) else {
+            return false;
+        };
+        if slot.seq != id.seq || slot.callback.take().is_none() {
             return false;
         }
-        if self.cancelled.insert(id.0) {
-            // The entry stays in the wheel but will be skipped when popped
-            // — unless tombstones pile up, in which case we compact below.
-            self.live = self.live.saturating_sub(1);
-            self.maybe_compact();
-            true
-        } else {
-            false
-        }
+        // The wheel entry stays behind as a tombstone and is skipped when
+        // popped — unless tombstones pile up, in which case we compact.
+        self.live -= 1;
+        self.maybe_compact();
+        true
     }
 
     /// Time of the next live event, if any.
     pub fn next_time(&mut self) -> Option<SimTime> {
         self.skip_cancelled();
-        self.wheel.peek().map(|(t, _)| SimTime::from_nanos(t))
+        self.wheel.peek().map(|(t, _, _)| SimTime::from_nanos(t))
     }
 
     /// Pops the next live event.
     pub fn pop(&mut self) -> Option<(SimTime, EventFn)> {
-        self.skip_cancelled();
-        let (t, _seq, f) = self.wheel.pop()?;
-        self.live = self.live.saturating_sub(1);
-        Some((SimTime::from_nanos(t), f))
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some((_, seq)) = self.wheel.peek() {
-            if self.cancelled.contains(&seq) {
-                self.wheel.pop();
-            } else {
-                break;
+        loop {
+            let (t, _seq, slot) = self.wheel.pop()?;
+            let callback = self.slots[slot as usize].callback.take();
+            self.free.push(slot);
+            if let Some(f) = callback {
+                self.live -= 1;
+                return Some((SimTime::from_nanos(t), f));
             }
         }
     }
 
+    fn skip_cancelled(&mut self) {
+        while let Some((_, _, &slot)) = self.wheel.peek() {
+            if self.slots[slot as usize].callback.is_some() {
+                break;
+            }
+            self.wheel.pop();
+            self.free.push(slot);
+        }
+    }
+
     /// Sweeps tombstones out of the wheel once they exceed half the live
-    /// entries. The purged ids *stay* in the tombstone set — that is what
-    /// makes double-cancel detection exact: if compaction (or pop-skip)
-    /// forgot an id, a second `cancel` of the same handle would read as a
-    /// fresh cancellation and corrupt the live count. The set therefore
-    /// holds one bare id per cancellation for the rest of the run, while
-    /// the compacted closures (the part worth reclaiming) are freed.
+    /// entries, returning their slots to the free list. Cancel already
+    /// dropped the callbacks; this reclaims the wheel entries and slots.
     fn maybe_compact(&mut self) {
         let tombstones = self.cancelled_pending();
         if tombstones < COMPACT_FLOOR || tombstones * 2 <= self.live {
             return;
         }
-        let cancelled = &self.cancelled;
-        self.wheel.retain(|seq| !cancelled.contains(&seq));
+        let (slots, free) = (&self.slots, &mut self.free);
+        self.wheel.retain(|&slot| {
+            let live = slots[slot as usize].callback.is_some();
+            if !live {
+                free.push(slot);
+            }
+            live
+        });
         self.compactions += 1;
     }
 }
@@ -194,7 +228,11 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(q.cancel(a));
         assert!(!q.cancel(a), "double cancel is a no-op");
-        assert!(!q.cancel(EventId(999)), "unknown id is a no-op");
+        let unknown = EventId {
+            seq: 999,
+            slot: 999,
+        };
+        assert!(!q.cancel(unknown), "unknown id is a no-op");
         assert_eq!(q.len(), 1);
         assert_eq!(q.cancelled_pending(), 1);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(2)));
@@ -246,17 +284,54 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_fire_still_reports_cancelled_once() {
-        // The documented contract of `cancel`: the queue cannot tell
-        // "fired" from "pending" by id alone, so the first cancel of a
-        // fired id returns true and the second false.
+    fn cancel_after_fire_returns_false() {
+        // A fired id is not pending: cancel refuses it and the live count
+        // stays exact, even once its slot holds a newer event.
         let mut q = EventQueue::new();
         let log = Rc::new(RefCell::new(Vec::new()));
         let a = q.push(SimTime::from_nanos(1), record(&log, 1));
         let mut world = SimWorld::new(0);
         let (_t, f) = q.pop().unwrap();
         f(&mut world);
-        assert!(q.cancel(a));
         assert!(!q.cancel(a));
+        let b = q.push(SimTime::from_nanos(2), record(&log, 2));
+        assert_eq!(b.slot, a.slot, "the fired event's slot is reused");
+        assert!(!q.cancel(a), "a reused slot does not revive the old id");
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(b));
+        assert!(!q.cancel(b), "second cancel");
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
+        assert_eq!(*log.borrow(), vec![1]);
+    }
+
+    #[test]
+    fn cancel_frees_the_callback_at_once() {
+        let mut q = EventQueue::new();
+        let held = Rc::new(());
+        let h = held.clone();
+        let id = q.push(SimTime::from_micros(5), Box::new(move |_w| drop(h)));
+        assert_eq!(Rc::strong_count(&held), 2);
+        assert!(q.cancel(id));
+        assert_eq!(Rc::strong_count(&held), 1, "captured state is dropped");
+        assert_eq!(q.cancelled_pending(), 1, "the wheel entry remains");
+    }
+
+    #[test]
+    fn slab_stays_at_peak_pending() {
+        // Many more events than are ever pending at once: the slab is
+        // bounded by the peak, not by the number of events scheduled.
+        let mut q = EventQueue::new();
+        let mut world = SimWorld::new(0);
+        for round in 0..1000u64 {
+            let keep = q.push(SimTime::from_nanos(round * 10), Box::new(|_w| {}));
+            let drop_me = q.push(SimTime::from_nanos(round * 10 + 5), Box::new(|_w| {}));
+            assert!(q.cancel(drop_me));
+            let (_t, f) = q.pop().unwrap();
+            f(&mut world);
+            assert!(!q.cancel(keep));
+        }
+        assert!(q.is_empty());
+        assert!(q.slots.len() <= 3, "slab grew to {}", q.slots.len());
     }
 }

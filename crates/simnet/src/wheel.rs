@@ -120,11 +120,11 @@ impl<T> TimerWheel<T> {
         self.place(Entry { time, seq, item });
     }
 
-    /// `(time, seq)` of the earliest entry, advancing the cursor as
-    /// needed to find it.
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
+    /// `(time, seq, item)` of the earliest entry, advancing the cursor
+    /// as needed to find it.
+    pub fn peek(&mut self) -> Option<(u64, u64, &T)> {
         self.advance();
-        self.ready.peek().map(|r| (r.0.time, r.0.seq))
+        self.ready.peek().map(|r| (r.0.time, r.0.seq, &r.0.item))
     }
 
     /// Removes and returns the earliest entry.
@@ -135,15 +135,16 @@ impl<T> TimerWheel<T> {
         Some((r.0.time, r.0.seq, r.0.item))
     }
 
-    /// Drops every entry for which `keep(seq)` returns false. Used by the
-    /// event queue to compact cancelled tombstones in place.
-    pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+    /// Drops every entry for which `keep(item)` returns false, calling it
+    /// exactly once per entry. Used by the event queue to compact
+    /// cancelled tombstones in place.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         let mut removed = 0usize;
         for level in 0..LEVELS {
             for slot in 0..SLOTS {
                 let v = &mut self.slots[level * SLOTS + slot];
                 let before = v.len();
-                v.retain(|e| keep(e.seq));
+                v.retain(|e| keep(&e.item));
                 removed += before - v.len();
                 if v.is_empty() {
                     self.occupied[level] &= !(1u64 << slot);
@@ -154,14 +155,14 @@ impl<T> TimerWheel<T> {
         }
         self.overflow.retain(|_, v| {
             let before = v.len();
-            v.retain(|e| keep(e.seq));
+            v.retain(|e| keep(&e.item));
             removed += before - v.len();
             !v.is_empty()
         });
         // BinaryHeap has no retain on stable paths we target; rebuild.
         let drained = std::mem::take(&mut self.ready).into_vec();
         let before = drained.len();
-        let kept: Vec<Ready<T>> = drained.into_iter().filter(|r| keep(r.0.seq)).collect();
+        let kept: Vec<Ready<T>> = drained.into_iter().filter(|r| keep(&r.0.item)).collect();
         removed += before - kept.len();
         self.ready = BinaryHeap::from(kept);
         self.len -= removed;
@@ -318,9 +319,9 @@ mod tests {
     fn retain_drops_and_rebuilds_bitmaps() {
         let mut w = TimerWheel::new();
         for seq in 0..1000u64 {
-            w.push(seq * 77_777, seq, 0);
+            w.push(seq * 77_777, seq, seq as u32);
         }
-        w.retain(|seq| seq % 3 != 0);
+        w.retain(|&seq| seq % 3 != 0);
         assert_eq!(w.len(), (0..1000).filter(|s| s % 3 != 0).count());
         let got = drain(&mut w);
         let want: Vec<(u64, u64)> = (0..1000u64)
@@ -361,7 +362,7 @@ mod tests {
     fn empty_wheel() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         assert!(w.is_empty());
-        assert_eq!(w.peek(), None);
+        assert!(w.peek().is_none());
         assert!(w.pop().is_none());
     }
 }

@@ -118,18 +118,16 @@ impl SimWorld {
         self.schedule_at(self.clock + d, f)
     }
 
-    /// Cancels a pending event. Returns `true` the first time it is
-    /// called with an id this world issued, `false` for an id already
-    /// cancelled or never issued.
+    /// Cancels a pending event and drops its callback at once. Returns
+    /// `true` only if the event was still pending; only then does it bump
+    /// `stats.events_cancelled` and take one off
+    /// [`pending_events`](Self::pending_events).
     ///
-    /// The id must still be pending: the queue keeps no per-id record of
-    /// what has fired, so the first `cancel` of an event that *already
-    /// ran* also returns `true`, bumps `stats.events_cancelled` and takes
-    /// one off [`pending_events`](Self::pending_events) although nothing
-    /// was removed. Hold an id only while its event is pending (clear it
-    /// in the callback). A run that broke this ends with
-    /// `events_executed + events_cancelled > events_scheduled`, which
-    /// `padico_bench::conservation_violations` reports.
+    /// Any other id is refused with `false` and changes nothing: an id
+    /// whose event already ran, an id already cancelled, or an id this
+    /// world never issued. Holding on to a fired id is therefore harmless,
+    /// and `events_executed + events_cancelled <= events_scheduled` holds
+    /// on every run.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let cancelled = self.queue.cancel(id);
         if cancelled {

@@ -3,7 +3,8 @@
 //! exactly the order a `BinaryHeap` oracle produces, including the FIFO
 //! tie-break at equal timestamps — and that must keep holding beyond the
 //! wheel's direct horizon (the overflow level) and through heavy cancel
-//! churn (tombstone compaction).
+//! churn (tombstone compaction). Cancel is exact: ids that fired or were
+//! replaced are refused.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -123,7 +124,7 @@ fn wheel_retain_matches_oracle_cancellation() {
         }
         // Cancel a random third via retain; the oracle drops the same.
         let keep_mask: Vec<bool> = (0..300).map(|_| !rng.next().is_multiple_of(3)).collect();
-        wheel.retain(|seq| keep_mask[seq as usize]);
+        wheel.retain(|&seq| keep_mask[seq as usize]);
         live.retain(|&(_, seq)| keep_mask[seq as usize]);
         live.sort_unstable();
         for want in live {
@@ -193,7 +194,7 @@ fn wheel_retain_reaches_the_overflow_level() {
             live.push((t, seq));
         }
         let keep_mask: Vec<bool> = (0..300).map(|_| !rng.next().is_multiple_of(3)).collect();
-        wheel.retain(|seq| keep_mask[seq as usize]);
+        wheel.retain(|&seq| keep_mask[seq as usize]);
         live.retain(|&(_, seq)| keep_mask[seq as usize]);
         assert_eq!(wheel.len(), live.len(), "seed {case_seed:#x}");
         live.sort_unstable();
@@ -239,11 +240,14 @@ fn event_queue_schedule_cancel_reschedule_matches_model() {
             model.retain(|&(_, _, p)| p != pick as u64);
         }
         // Reschedule a random subset: cancel + fresh schedule, new order.
+        // The replaced ids may see their slots reused by the fresh events.
+        let mut stale = Vec::new();
         for _ in 0..n / 4 {
             let pick = (rng.next() % n) as usize;
             if !world.cancel(handles[pick]) {
                 continue;
             }
+            stale.push(handles[pick]);
             model.retain(|&(_, _, p)| p != pick as u64);
             let t = rng.time();
             let l2 = log.clone();
@@ -253,11 +257,37 @@ fn event_queue_schedule_cancel_reschedule_matches_model() {
             model.push((t, order, pick as u64));
             order += 1;
         }
+        let pending = world.pending_events();
+        for id in stale {
+            assert!(
+                !world.cancel(id),
+                "replaced id cancelled, seed {case_seed:#x}"
+            );
+        }
+        assert_eq!(world.pending_events(), pending, "seed {case_seed:#x}");
+
+        // Run part of the way: every id whose event fired is refused.
+        world.run_until(SimTime::from_nanos(rng.time()));
+        let fired: Vec<u64> = log.borrow().clone();
+        let pending = world.pending_events();
+        for &p in &fired {
+            assert!(
+                !world.cancel(handles[p as usize]),
+                "fired id cancelled, seed {case_seed:#x}"
+            );
+        }
+        assert_eq!(world.pending_events(), pending, "seed {case_seed:#x}");
 
         world.run();
         model.sort_unstable();
         let want: Vec<u64> = model.iter().map(|&(_, _, p)| p).collect();
         assert_eq!(*log.borrow(), want, "seed {case_seed:#x}");
+        let s = world.stats;
+        assert_eq!(
+            s.events_executed + s.events_cancelled,
+            s.events_scheduled,
+            "seed {case_seed:#x}"
+        );
     });
 }
 

@@ -1088,6 +1088,34 @@ mod tests {
     }
 
     #[test]
+    fn closed_connections_leave_both_stacks() {
+        let mut p = topology::pair_over(12, NetworkSpec::ethernet_100());
+        let stack_a = TcpStack::new(&mut p.world, p.a);
+        let stack_b = TcpStack::new(&mut p.world, p.b);
+        stack_b.listen(80, |_world, conn| {
+            let c = conn.clone();
+            conn.set_readable_callback(Box::new(move |world| {
+                if !c.recv_all(world).is_empty() {
+                    c.send_all(world, b"ack");
+                }
+                if c.is_finished() {
+                    c.close(world);
+                }
+            }));
+        });
+        for _ in 0..20 {
+            let client = stack_a.connect(&mut p.world, p.network, p.b, 80);
+            client.send_all(&mut p.world, b"request");
+            p.world.run();
+            assert_eq!(client.recv_all(&mut p.world), b"ack");
+            client.close(&mut p.world);
+            p.world.run();
+        }
+        let live = |s: &TcpStack| s.inner.borrow().conns.len();
+        assert_eq!((live(&stack_a), live(&stack_b)), (0, 0));
+    }
+
+    #[test]
     fn bulk_transfer_across_many_segments() {
         let (mut world, client, server, _net) = connected_pair(NetworkSpec::ethernet_100());
         let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
