@@ -1,41 +1,23 @@
 //! Routing-scalability bench: flat all-pairs Dijkstra vs hierarchical
 //! two-level routing, written to `BENCH_routing.json`.
 //!
-//! Usage: `routing [--smoke|--scale-smoke]` — `--smoke` runs small sizes
-//! once (the CI guard) and does not overwrite the tracked JSON artifact;
-//! `--scale-smoke` runs the single measured 10⁵-node cluster case (hier
-//! build, oracle spot-check against sampled flat sources, and a real
-//! relayed-traffic phase) without touching the artifact. The full run
-//! appends the same 10⁵-node case to the swept sizes. In all modes the
-//! process exits non-zero if any hierarchical/flat cost-equivalence
-//! check reports a mismatch, or (full/small smoke) if the hierarchical
-//! allreduce fails to send strictly fewer inter-site messages than the
-//! linear one.
+//! Runs every shape at 10²–10⁴ nodes plus the measured 10⁵-node cluster
+//! case, and the linear-vs-hierarchical collective comparison. Takes no
+//! arguments. The verdicts (hier ≡ flat cost equality, fewer WAN
+//! crossings for the hierarchical collectives) are tests in
+//! `padico_bench::routing`.
 
 use padico_bench::routing::{
-    allreduce_comparison, routing_case, routing_json, routing_sweep, write_routing_json,
+    allreduce_comparison, routing_case, routing_sweep, write_routing_json,
 };
 
 /// The measured headline size: 10⁵ nodes as 1000 sites of 100.
 const SCALE_NODES: usize = 100_000;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale_smoke = std::env::args().any(|a| a == "--scale-smoke");
-    let sizes: &[usize] = if smoke {
-        &[100, 320]
-    } else {
-        &[100, 1000, 10_000]
-    };
-    let mut cases = if scale_smoke {
-        Vec::new()
-    } else {
-        routing_sweep(sizes)
-    };
-    if !smoke {
-        eprintln!("routing: cluster @ {SCALE_NODES} nodes (measured)…");
-        cases.push(routing_case("cluster", SCALE_NODES));
-    }
+    let mut cases = routing_sweep(&[100, 1000, 10_000]);
+    eprintln!("routing: cluster @ {SCALE_NODES} nodes (measured)…");
+    cases.push(routing_case("cluster", SCALE_NODES));
     println!(
         "{:<8} {:>6} {:>6} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>9} {:>9}",
         "shape",
@@ -95,56 +77,6 @@ fn main() {
         allreduce.barrier_hier_inter_site_msgs,
     );
 
-    let mut failed = false;
-    for c in &cases {
-        if c.cost_mismatches > 0 || c.reachability_mismatches > 0 {
-            eprintln!(
-                "FAIL: {} @ {} nodes disagrees with the flat oracle \
-                 ({} cost, {} reachability mismatches over {} pairs)",
-                c.shape, c.nodes, c.cost_mismatches, c.reachability_mismatches, c.pairs_checked
-            );
-            failed = true;
-        }
-        if c.events_per_sec <= 0.0 {
-            eprintln!(
-                "FAIL: {} @ {} nodes recorded no measured traffic",
-                c.shape, c.nodes
-            );
-            failed = true;
-        }
-    }
-    if allreduce.hier_inter_site_msgs >= allreduce.linear_inter_site_msgs {
-        eprintln!(
-            "FAIL: hierarchical allreduce sent {} inter-site messages, \
-             linear sent {}",
-            allreduce.hier_inter_site_msgs, allreduce.linear_inter_site_msgs
-        );
-        failed = true;
-    }
-    if allreduce.bcast_hier_inter_site_msgs >= allreduce.bcast_linear_inter_site_msgs {
-        eprintln!(
-            "FAIL: hierarchical bcast sent {} inter-site messages, linear sent {}",
-            allreduce.bcast_hier_inter_site_msgs, allreduce.bcast_linear_inter_site_msgs
-        );
-        failed = true;
-    }
-    if allreduce.barrier_hier_inter_site_msgs >= allreduce.barrier_linear_inter_site_msgs {
-        eprintln!(
-            "FAIL: hierarchical barrier sent {} inter-site messages, linear sent {}",
-            allreduce.barrier_hier_inter_site_msgs, allreduce.barrier_linear_inter_site_msgs
-        );
-        failed = true;
-    }
-
-    if smoke || scale_smoke {
-        let json = routing_json(&cases, &allreduce);
-        assert!(json.contains("\"experiment\": \"routing\""));
-        eprintln!("smoke run: artifact not written");
-    } else {
-        let path = write_routing_json(&cases, &allreduce).expect("write BENCH_routing.json");
-        eprintln!("wrote {path}");
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let path = write_routing_json(&cases, &allreduce).expect("write BENCH_routing.json");
+    eprintln!("wrote {path}");
 }

@@ -2,7 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation section
 //! over the simulated testbed. See [`experiments`] for the individual
-//! experiments and the `src/bin/*` binaries for printable output.
+//! experiments and the `src/bin/*` binaries for printable output; the
+//! multi-site scenarios are checked byte for byte against the committed
+//! corpus in `tests/golden/` by the root package's `tests/golden.rs`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,10 +17,10 @@ pub mod routing;
 
 pub use experiments::*;
 pub use multi_site::{
-    churn_json_row, churn_run, churn_snapshot, churn_sweep, conservation_violations,
-    failover_metrics, failover_run, failover_snapshot, failover_sweep, incast_run, incast_snapshot,
-    incast_sweep, multi_site_json, multi_site_run, multi_site_sweep, write_multi_site_json,
-    ChurnResult, FailoverResult, IncastResult, MultiSiteResult,
+    churn_run, churn_snapshot, churn_sweep, conservation_violations, failover_metrics,
+    failover_run, failover_snapshot, failover_sweep, incast_run, incast_snapshot, incast_sweep,
+    multi_site_json, multi_site_run, multi_site_sweep, ChurnResult, FailoverResult, IncastResult,
+    MultiSiteResult,
 };
 
 /// Formats a byte size the way the paper's axes do.

@@ -16,12 +16,19 @@ use padico_bench::fullstack::{mirror_equivalence, MirrorConfig};
 /// the real relay/credit machinery over a mirrored two-site grid, and
 /// the merged snapshot must be byte-identical to the single-queue run —
 /// including credits consumed in one shard world and returned through a
-/// wire credit frame from another.
+/// wire credit frame from another. The unit tests cover
+/// `MirrorConfig::smoke()`; this runs twice its fan-in into a gateway
+/// queue a quarter its size, on another seed.
 #[test]
 fn full_stack_partitioned_run_is_bit_identical_to_single_queue() {
     for threads in [1usize, 2] {
-        let mut cfg = MirrorConfig::smoke();
-        cfg.threads = threads;
+        let cfg = MirrorConfig {
+            senders: 16,
+            queue_capacity: 2,
+            threads,
+            seed: 0x5EED,
+            ..MirrorConfig::smoke()
+        };
         let eq = mirror_equivalence(&cfg);
         assert!(
             eq.identical,
@@ -30,5 +37,10 @@ fn full_stack_partitioned_run_is_bit_identical_to_single_queue() {
         assert_eq!(eq.delivered, eq.frames_total, "{eq:?}");
         assert_eq!(eq.lookahead_violations, 0, "{eq:?}");
         assert_eq!(eq.conservation, Vec::<String>::new());
+        assert_eq!(eq.cross_out, eq.cross_in, "cross-shard frame leak: {eq:?}");
+        assert!(
+            eq.frames_crossed >= 2 * eq.frames_total,
+            "every frame crosses as data and returns a wire credit: {eq:?}"
+        );
     }
 }

@@ -114,6 +114,14 @@ pub struct GridTopology {
     /// default (per-site tables + a gateway backbone, cost-equal to the
     /// flat all-pairs oracle); see [`GridRoutes`].
     pub routes: GridRoutes,
+    /// Full route-table builds since this grid was built (the
+    /// construction-time build excluded): [`GridTopology::recompute_routes`],
+    /// [`GridTopology::use_flat_routes`] and every delta applied to a grid
+    /// on flat routes. Churn on hierarchical routes keeps it at 0.
+    pub full_recomputes: u64,
+    /// Deltas this grid's hierarchical table absorbed incrementally
+    /// ([`crate::hier::HierRouteTable::apply_delta`]).
+    pub delta_reconvergences: u64,
 }
 
 impl GridTopology {
@@ -306,6 +314,7 @@ impl GridTopology {
             GridRoutes::Hier(_) => GridRoutes::compute_auto(world, &self.layout),
             GridRoutes::Flat(_) => GridRoutes::Flat(crate::route::RouteTable::compute(world)),
         };
+        self.full_recomputes += 1;
     }
 
     /// Swaps the installed routes for the flat all-pairs oracle (exact
@@ -313,6 +322,7 @@ impl GridTopology {
     /// oracle checks only).
     pub fn use_flat_routes(&mut self, world: &SimWorld) {
         self.routes = GridRoutes::Flat(crate::route::RouteTable::compute(world));
+        self.full_recomputes += 1;
     }
 
     /// Applies one churn delta to the grid's routes and layout. A grid on
@@ -330,6 +340,7 @@ impl GridTopology {
             GridRoutes::Hier(hier) => {
                 let stats = hier.apply_delta(world, delta)?;
                 self.layout = hier.layout().clone();
+                self.delta_reconvergences += 1;
                 Ok(stats)
             }
             GridRoutes::Flat(_) => {
@@ -343,6 +354,7 @@ impl GridTopology {
                     _ => {}
                 }
                 self.routes = GridRoutes::Flat(crate::route::RouteTable::compute(world));
+                self.full_recomputes += 1;
                 Ok(ReconvergeStats::default())
             }
         }
@@ -440,6 +452,8 @@ fn finish(world: &SimWorld, sites: Vec<Site>, backbones: Vec<NetworkId>) -> Grid
         backbones,
         layout,
         routes,
+        full_recomputes: 0,
+        delta_reconvergences: 0,
     }
 }
 

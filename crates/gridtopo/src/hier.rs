@@ -39,34 +39,12 @@
 //! which is what `padico_core`'s gateway failover uses to re-route
 //! *streams* around a dead gateway through any surviving one.
 
-// simlint: allow-file(D4, reason = "process-wide monotonic counters (full_recomputes / delta_reconvergences) read by benches and smoke tests; Relaxed loads/adds, no cross-thread ordering, no effect on simulation state")
 use std::collections::{BTreeSet, HashMap};
 use std::mem::size_of;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use simnet::{NetworkId, NodeId, SimWorld};
 
 use crate::route::{dijkstra_subgraph, map_bytes, Hop, PathInfo, Route};
-
-/// Full-table builds ([`HierRouteTable::try_compute`]) since process
-/// start. Together with [`delta_reconvergences`] this is how benches and
-/// smoke tests prove churn was absorbed *without* full recomputation.
-static FULL_RECOMPUTES: AtomicU64 = AtomicU64::new(0);
-/// Incremental reconvergences ([`HierRouteTable::apply_delta`]) since
-/// process start.
-static DELTA_RECONVERGENCES: AtomicU64 = AtomicU64::new(0);
-
-/// Times a hierarchical table was built from scratch (process-wide,
-/// monotonic).
-pub fn full_recomputes() -> u64 {
-    FULL_RECOMPUTES.load(AtomicOrdering::Relaxed)
-}
-
-/// Times a hierarchical table absorbed a [`BackboneDelta`] incrementally
-/// (process-wide, monotonic).
-pub fn delta_reconvergences() -> u64 {
-    DELTA_RECONVERGENCES.load(AtomicOrdering::Relaxed)
-}
 
 /// A world that violates the gateway-isolation invariant: `network` spans
 /// several sites but `node` — one of its members — is not a gateway of its
@@ -429,7 +407,6 @@ impl HierRouteTable {
             );
         }
         table.rebuild_backbone(world);
-        FULL_RECOMPUTES.fetch_add(1, AtomicOrdering::Relaxed);
         Ok(table)
     }
 
@@ -499,7 +476,6 @@ impl HierRouteTable {
             }
         }
         self.rebuild_backbone(world);
-        DELTA_RECONVERGENCES.fetch_add(1, AtomicOrdering::Relaxed);
         Ok(ReconvergeStats {
             sites_recomputed,
             intra_entries_retained: before_intra.saturating_sub(stripped),

@@ -63,8 +63,5 @@ pub use churn::{
 pub use gateway::{
     BackpressureMode, GatewayStats, RelayConfig, RelayError, RelayFabric, RelayedMessage,
 };
-pub use hier::{
-    delta_reconvergences, full_recomputes, BackboneDelta, HierRouteTable, IsolationViolation,
-    ReconvergeStats, SiteLayout,
-};
+pub use hier::{BackboneDelta, HierRouteTable, IsolationViolation, ReconvergeStats, SiteLayout};
 pub use route::{hier_fallbacks, link_cost, GridRoutes, Hop, PathInfo, Route, RouteTable};

@@ -3,9 +3,9 @@
 //! Every counter whose name puts it in a conservation family must have
 //! its partner registered in the same namespace, and the pair must be
 //! cross-referenced in one of the dynamic gate files
-//! ([`crate::config::C1_GATE_FILES`], i.e. `conservation_violations` and
-//! the smoke binary) — a pair that is registered but never gated would
-//! let a leak ship silently even though the accounting exists.
+//! ([`crate::config::C1_GATE_FILES`], i.e. `conservation_violations`) —
+//! a pair that is registered but never gated would let a leak ship
+//! silently even though the accounting exists.
 
 use crate::report::Finding;
 use crate::scan::CounterReg;
@@ -90,8 +90,7 @@ pub fn resolve_conservation(
                 reg.line,
                 format!(
                     "conservation pair registered but ungated: `{}` never appears in \
-                     a conservation gate ({}); add it to `conservation_violations` or \
-                     the smoke checks",
+                     a conservation gate ({}); add it to `conservation_violations`",
                     reg.name,
                     gate_paths.join(", ")
                 ),

@@ -1,0 +1,172 @@
+//! The golden corpus: every seeded multi-site scenario regenerated and
+//! compared byte for byte with its committed output in `tests/golden/`.
+//!
+//! A renamed or vanished snapshot key, or a counter that drifts, fails
+//! here. On a difference (or a missing file) the test writes the
+//! regenerated bytes over the committed file and fails, naming the file
+//! and the first line that differs: a rerun passes, and
+//! `git diff tests/golden` is the review of the behaviour change.
+//!
+//! Before any comparison each run must pass its safety checks —
+//! conservation, exact delivery, recovery — so a regenerated file can
+//! never quietly accept a leak.
+
+use std::path::PathBuf;
+
+use padico_bench::fullstack::{
+    compare_windows, mirror_equivalence, FullStackReport, MirrorConfig, RingConfig,
+};
+use padico_bench::{
+    churn_snapshot, churn_sweep, conservation_violations, failover_metrics, failover_snapshot,
+    failover_sweep, incast_snapshot, incast_sweep, multi_site_json, multi_site_sweep,
+};
+use padicotm::gridtopo::BackpressureMode;
+use padicotm::simnet::MetricsSnapshot;
+
+/// Compares `actual` with `tests/golden/<name>`; on any difference,
+/// rewrites the file and fails.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let committed = std::fs::read_to_string(&path).ok();
+    if committed.as_deref() == Some(actual) {
+        return;
+    }
+    std::fs::write(&path, actual).expect("rewrite the golden file");
+    let what = match committed {
+        None => "was missing".to_string(),
+        Some(old) => first_difference(&old, actual),
+    };
+    panic!(
+        "{} {what}\nrewrote it with the regenerated bytes; review with `git diff tests/golden`",
+        path.display()
+    );
+}
+
+/// Where `new` first departs from `old`: line and column, with an excerpt
+/// of each side around that column (the multi-site `metrics` object is a
+/// single long line).
+fn first_difference(old: &str, new: &str) -> String {
+    let (mut old_lines, mut new_lines) = (old.lines(), new.lines());
+    let mut line = 1;
+    loop {
+        match (old_lines.next(), new_lines.next()) {
+            (None, None) => return "differs only in line endings".to_string(),
+            (a, b) if a == b => line += 1,
+            (a, b) => {
+                let col = a
+                    .unwrap_or("")
+                    .chars()
+                    .zip(b.unwrap_or("").chars())
+                    .take_while(|(x, y)| x == y)
+                    .count();
+                let excerpt = |side: Option<&str>| -> String {
+                    side.map_or("<end of file>".to_string(), |s| {
+                        s.chars().skip(col.saturating_sub(40)).take(100).collect()
+                    })
+                };
+                return format!(
+                    "differs first at line {line}, column {}:\n  committed: {}\n  now:       {}",
+                    col + 1,
+                    excerpt(a),
+                    excerpt(b),
+                );
+            }
+        }
+    }
+}
+
+/// Checks conservation on `snap`, then compares its JSON with the golden.
+fn check_snapshot(name: &str, snap: &MetricsSnapshot) {
+    let violations = conservation_violations(snap);
+    assert!(violations.is_empty(), "{name}: {violations:?}");
+    check_golden(name, &snap.to_json());
+}
+
+#[test]
+fn incast_drop() {
+    check_snapshot(
+        "incast_drop.json",
+        &incast_snapshot(4, 32, BackpressureMode::Drop, 4242),
+    );
+}
+
+#[test]
+fn incast_credit() {
+    check_snapshot(
+        "incast_credit.json",
+        &incast_snapshot(4, 32, BackpressureMode::Credit, 4242),
+    );
+}
+
+#[test]
+fn failover_fa17() {
+    let (snap, completed) = failover_snapshot(4, 0xFA17);
+    assert!(completed, "an acknowledged byte was lost or duplicated");
+    check_snapshot("failover_fa17.json", &snap);
+}
+
+#[test]
+fn failover_99() {
+    let (snap, completed) = failover_snapshot(4, 99);
+    assert!(completed, "an acknowledged byte was lost or duplicated");
+    check_snapshot("failover_99.json", &snap);
+}
+
+#[test]
+fn churn_c09e() {
+    check_snapshot("churn_c09e.json", &churn_snapshot(4, 4, 0xC09E));
+}
+
+#[test]
+fn churn_1234() {
+    check_snapshot("churn_1234.json", &churn_snapshot(4, 4, 0x1234));
+}
+
+/// The failover run preceded by a relay-fabric burst, a CORBA invocation
+/// and an MPI exchange in the same world, so its snapshot holds every
+/// telemetry namespace: the golden file pins each key.
+#[test]
+fn failover_instrumented() {
+    let (snap, completed, recovery_ms, _) = failover_metrics(4);
+    assert!(completed, "an acknowledged byte was lost or duplicated");
+    assert!(
+        recovery_ms.is_some(),
+        "streams did not resume through the surviving gateway"
+    );
+    check_snapshot("failover_instrumented.json", &snap);
+}
+
+/// The multi-site sweeps (site count × layout × backbone, incast,
+/// failover, churn) and the full-stack partitioned rows, including the
+/// 10⁵-node ring under both window modes.
+#[test]
+fn multi_site() {
+    let failover = failover_sweep();
+    let churn = churn_sweep();
+    for r in &failover {
+        assert!(r.completed, "{r:?}");
+    }
+    for r in &churn {
+        assert_eq!(r.conservation_violations, 0, "{r:?}");
+        assert_eq!(r.transient_violations, 0, "{r:?}");
+    }
+    let equivalence = mirror_equivalence(&MirrorConfig::smoke());
+    assert!(equivalence.conservation.is_empty(), "{equivalence:?}");
+    let (global, per_trunk) = compare_windows(&RingConfig::hundred_k());
+    let fullstack = FullStackReport {
+        equivalence,
+        rows: vec![global, per_trunk],
+    };
+    check_golden(
+        "multi_site.json",
+        &multi_site_json(
+            &multi_site_sweep(),
+            &incast_sweep(),
+            &failover,
+            &churn,
+            &fullstack,
+        ),
+    );
+}

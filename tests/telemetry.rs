@@ -53,7 +53,7 @@ fn relay_scenario(seed: u64, fault_rate: f64, trace: bool) -> (SimWorld, u64, u6
 }
 
 /// Every relay/credit conservation law must hold on the scraped snapshot
-/// alone — the same checks the CI metrics smoke runs — both on a clean
+/// alone — the same checks every golden snapshot must pass — both on a clean
 /// run and under seeded gateway faults (faults drop frames but may not
 /// leak credits or park anything forever).
 #[test]
