@@ -7,14 +7,18 @@
 //! * **MadIO** — parallel-oriented hardware reached through the Madeleine
 //!   library, with logical multiplexing and *header combining* so that
 //!   sharing the SAN between several middleware systems costs < 0.1 µs;
-//! * **SysIO** — system sockets, watched by a single cooperative receipt
-//!   loop (no signal-driven I/O, no competing busy-pollers);
+//! * **SysIO** — the node's TCP stack, with accepted connections delivered
+//!   through the dispatch loop and an optional `watch` that routes a
+//!   stream's readiness through it too;
 //! * a **core dispatch loop** that interleaves the two with a
 //!   user-tunable fairness policy.
 //!
 //! Everything above (the Circuit and VLink abstract interfaces, the
-//! personalities, the middleware systems) only ever touches the network
-//! through this crate.
+//! personalities, the middleware systems) opens its SAN channels and its
+//! TCP connections through this crate. Only MadIO traffic and SysIO
+//! accepts are arbitrated, though: no layer calls `SysIO::watch` yet, so
+//! every TCP-based stream (plain TCP, Parallel Streams, AdOC, secure
+//! links) reads straight from its own connection callback.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,13 @@
 //!
 //! The paper's observation is that using the raw socket API from several
 //! middleware systems at once breaks: signal-driven I/O is not reentrant,
-//! and one active poller starves everyone else. SysIO therefore owns a
-//! single receipt loop that watches every registered stream and invokes
-//! user callbacks when data is ready — all socket readiness flows through
-//! the NetAccess dispatch loop, so fairness with MadIO is enforced in one
-//! place.
+//! and one active poller starves everyone else. SysIO owns the node's TCP
+//! stack and delivers accepted connections through the NetAccess dispatch
+//! loop. A stream registered with [`SysIO::watch`] has its readiness
+//! dispatched the same way, so fairness with MadIO is enforced in one
+//! place — but only this module's tests call `watch`: the streams the
+//! framework opens read from their own connection callbacks, so in
+//! practice SysIO arbitrates accepts only.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -17,8 +17,9 @@
 //! * [`middleware`] — MPI, CORBA ORBs, Java sockets, SOAP and HLA ported on
 //!   top of the framework.
 //!
-//! See `examples/` for runnable scenarios and the `padico-bench` crate for
-//! the experiment harness that regenerates the paper's tables and figures.
+//! See `examples/` for runnable scenarios, and `tests/paper_claims.rs` for
+//! the paper's claims measured and checked; its table is committed as
+//! `tests/golden/paper_claims.md`.
 
 #![deny(unsafe_code)]
 
