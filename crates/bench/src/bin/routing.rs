@@ -19,7 +19,7 @@ fn main() {
     eprintln!("routing: cluster @ {SCALE_NODES} nodes (measured)…");
     cases.push(routing_case("cluster", SCALE_NODES));
     println!(
-        "{:<8} {:>6} {:>6} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>9} {:>9}",
+        "{:<8} {:>6} {:>6} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>9}",
         "shape",
         "nodes",
         "sites",
@@ -29,12 +29,11 @@ fn main() {
         "flat bytes",
         "hier bytes",
         "bytes x",
-        "hier ns",
-        "cache ns"
+        "hier ns"
     );
     for c in &cases {
         println!(
-            "{:<8} {:>6} {:>6} {:>11.1}{} {:>12.1} {:>9.1} {:>11}{} {:>12} {:>9.1} {:>9.0} {:>9.0}",
+            "{:<8} {:>6} {:>6} {:>11.1}{} {:>12.1} {:>9.1} {:>11}{} {:>12} {:>9.1} {:>9.0}",
             c.shape,
             c.nodes,
             c.sites,
@@ -47,7 +46,6 @@ fn main() {
             c.hier_table_bytes,
             c.bytes_ratio(),
             c.hier_lookup_ns,
-            c.hier_cached_lookup_ns,
         );
     }
     println!("(* = flat numbers extrapolated from sampled Dijkstra sources)");

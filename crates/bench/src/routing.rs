@@ -15,9 +15,7 @@
 //!   [`HierRouteTable::table_bytes`]); extrapolated per-pair above the
 //!   same limit.
 //! * **per-lookup latency** — full `route` + `PathInfo` materialization,
-//!   for the flat table, the hierarchical table cold, and the
-//!   hierarchical table through the selector's route cache (the hot
-//!   path).
+//!   for the flat table and the hierarchical table.
 //! * **cost equivalence** — for a seeded sample of sources, every
 //!   destination's reachability and additive cost is compared against
 //!   the flat oracle. The tests below fail on any mismatch.
@@ -26,14 +24,11 @@
 //! against the linear baseline on a live multi-site grid and records the
 //! inter-site message counts and virtual completion times.
 
-use std::rc::Rc;
 use std::time::Instant;
 
-use gridtopo::{
-    GridRoutes, GridTopology, HierRouteTable, RelayConfig, RelayFabric, RouteTable, SiteSpec,
-};
+use gridtopo::{GridTopology, HierRouteTable, RelayConfig, RelayFabric, RouteTable, SiteSpec};
 use middleware::MpiComm;
-use padico_core::{runtimes_for_grid, SelectorPreferences, TopologyKb};
+use padico_core::{runtimes_for_grid, SelectorPreferences};
 use simnet::{NetworkSpec, NodeId, SimRng, SimWorld};
 
 /// Largest node count at which the flat all-pairs table is built in full
@@ -79,11 +74,8 @@ pub struct RoutingCase {
     pub hier_build_ms: f64,
     /// Hierarchical tables resident bytes.
     pub hier_table_bytes: u64,
-    /// Hierarchical per-lookup nanoseconds, cold (no cache).
+    /// Hierarchical per-lookup nanoseconds.
     pub hier_lookup_ns: f64,
-    /// Hierarchical per-lookup nanoseconds through the selector's route
-    /// cache (hit path).
-    pub hier_cached_lookup_ns: f64,
     /// Ordered (source, destination-row) pairs compared to the oracle.
     pub pairs_checked: usize,
     /// Oracle disagreements: differing cost on a reachable pair.
@@ -136,7 +128,7 @@ pub struct AllreduceResult {
     /// Simulator events executed per *host* second across both runs.
     pub events_per_sec: f64,
     /// Telemetry snapshot scraped at quiescence of the hierarchical run
-    /// (route-cache, trunk and per-rank MPI counters), embedded in
+    /// (trunk and per-rank MPI counters), embedded in
     /// `BENCH_routing.json`.
     pub metrics: simnet::MetricsSnapshot,
 }
@@ -286,21 +278,6 @@ pub fn routing_case(shape: &'static str, nodes: usize) -> RoutingCase {
     let hier_lookup_ns = time_lookups(&mut |a, b| {
         std::hint::black_box(hier.path_info(&world, a, b));
     });
-    // Cached path: the selector's knowledge base memoizes resolved
-    // routes; size the cache to the sample so the second pass is all hits.
-    let kb = TopologyKb::with_routes(
-        SelectorPreferences {
-            route_cache_capacity: LOOKUP_PAIRS * 2,
-            ..Default::default()
-        },
-        Rc::new(GridRoutes::Hier(hier.clone())),
-    );
-    for &(a, b) in &pairs {
-        let _ = kb.resolve_route(&world, a, b); // warm
-    }
-    let hier_cached_lookup_ns = time_lookups(&mut |a, b| {
-        std::hint::black_box(kb.resolve_route(&world, a, b));
-    });
 
     // Measured traffic phase: relay real frames through the full-size
     // world over the grid's (hierarchical) routes and record the event
@@ -338,7 +315,6 @@ pub fn routing_case(shape: &'static str, nodes: usize) -> RoutingCase {
         hier_build_ms,
         hier_table_bytes,
         hier_lookup_ns,
-        hier_cached_lookup_ns,
         pairs_checked,
         cost_mismatches,
         reachability_mismatches,
@@ -464,7 +440,7 @@ pub fn routing_json(cases: &[RoutingCase], allreduce: &AllreduceResult) -> Strin
                 "\"flat_build_ms\": {:.2}, \"flat_table_bytes\": {}, \"flat_measured\": {}, ",
                 "\"flat_lookup_ns\": {}, ",
                 "\"hier_build_ms\": {:.2}, \"hier_table_bytes\": {}, ",
-                "\"hier_lookup_ns\": {:.0}, \"hier_cached_lookup_ns\": {:.0}, ",
+                "\"hier_lookup_ns\": {:.0}, ",
                 "\"build_speedup\": {:.1}, \"bytes_ratio\": {:.1}, ",
                 "\"pairs_checked\": {}, \"cost_mismatches\": {}, ",
                 "\"reachability_mismatches\": {}, \"events_per_sec\": {:.0}}}{}\n"
@@ -481,7 +457,6 @@ pub fn routing_json(cases: &[RoutingCase], allreduce: &AllreduceResult) -> Strin
             c.hier_build_ms,
             c.hier_table_bytes,
             c.hier_lookup_ns,
-            c.hier_cached_lookup_ns,
             c.build_speedup(),
             c.bytes_ratio(),
             c.pairs_checked,

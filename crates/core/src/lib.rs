@@ -45,9 +45,7 @@ pub use circuit::{
 pub use madio_stream::{MadStream, MadStreamDriver};
 pub use relay::{install_gateway_proxy, GatewayProxy, GatewayProxyStats, GATEWAY_PROXY_SERVICE};
 pub use runtime::{runtimes_for_cluster, runtimes_for_grid, runtimes_for_lan, PadicoRuntime};
-pub use selector::{
-    BackpressureMode, LinkDecision, ResolvedRoute, RouteCacheStats, SelectorPreferences, TopologyKb,
-};
+pub use selector::{BackpressureMode, LinkDecision, SelectorPreferences, TopologyKb};
 pub use trunk::{
     TrunkCreditStats, TrunkFlowConfig, TrunkHealthConfig, TrunkMemoryStats, TrunkMux, TrunkStream,
 };

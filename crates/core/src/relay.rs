@@ -49,7 +49,7 @@ pub(crate) const TRUNK_STRIPE_CHUNK: usize = 4096;
 /// available; see [`warmup_bytes_for`].
 pub(crate) const TRUNK_WARMUP_BYTES: usize = 256 * 1024;
 
-/// Sizes a trunk's warm-up padding from the cached [`gridtopo::PathInfo`]
+/// Sizes a trunk's warm-up padding from the [`gridtopo::PathInfo`]
 /// of the path towards the gateway: two bandwidth-delay products of the
 /// actual route (bottleneck rate × one-way latency), clamped so degenerate
 /// paths neither skip slow start (floor) nor flood the first carrier
@@ -473,9 +473,9 @@ impl FailoverStream {
                 let rt = inner.rt.clone();
                 let dst = inner.dst;
                 drop(inner);
-                let resolved = rt.resolved_route(world, dst);
+                let first = rt.resolved_route(dst).and_then(|r| r.first_hop());
                 let mut inner = self.inner.borrow_mut();
-                match resolved.as_ref().and_then(|r| r.route.first_hop()) {
+                match first {
                     Some(first) if first.node != dst => Action::Redial {
                         network: first.network,
                         via: first.node,

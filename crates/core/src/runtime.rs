@@ -109,9 +109,9 @@ impl PadicoRuntime {
         rt
     }
 
-    /// Registers this runtime's metrics collector: route-cache counters
-    /// under `route.cache.*{node=N}` and aggregate trunk credit/memory
-    /// accounting under `trunk.credit.*{node=N}` / `trunk.memory.*{node=N}`.
+    /// Registers this runtime's metrics collector: aggregate trunk
+    /// credit/memory accounting under `trunk.credit.*{node=N}` /
+    /// `trunk.memory.*{node=N}`.
     fn register_metrics(&self, world: &mut SimWorld) {
         let weak = Rc::downgrade(&self.inner);
         world.metrics.register_collector(move |b| {
@@ -119,12 +119,6 @@ impl PadicoRuntime {
             let inner = inner.borrow();
             let node = inner.node.0.to_string();
             let labels: &[(&str, &str)] = &[("node", node.as_str())];
-            let rc = inner.kb.route_cache_stats();
-            b.counter("route.cache.hits", labels, rc.hits);
-            b.counter("route.cache.misses", labels, rc.misses);
-            b.counter("route.cache.evictions", labels, rc.evictions);
-            b.counter("route.cache.invalidations", labels, rc.invalidations);
-            b.gauge("route.cache.len", labels, rc.len as i64);
 
             // Aggregate over every trunk this node holds (outgoing and
             // accepted): sums for flows/occupancy, maxima for high water.
@@ -240,38 +234,16 @@ impl PadicoRuntime {
     /// Installs the multi-hop route table (hierarchical or flat), making
     /// the selector route-aware: links towards nodes with which this node
     /// shares no network resolve to [`LinkDecision::Relayed`] instead of
-    /// failing. Any previously cached resolved route is invalidated.
+    /// failing. The next decision already uses the new table.
     pub fn set_route_table(&self, routes: Rc<GridRoutes>) {
         self.inner.borrow_mut().kb.set_routes(routes);
     }
 
-    /// Adopts `other`'s route cache (see [`TopologyKb::share_cache_with`]):
-    /// entries are source-keyed, so runtimes of different nodes pool one
-    /// LRU without ever serving each other's routes. The grid bring-up
-    /// shares one cache across the gateway runtimes — the nodes that
-    /// resolve a route per relayed stream. Re-share after
-    /// [`PadicoRuntime::set_route_table`], which detaches into a fresh
-    /// cache by design.
-    pub fn share_route_cache_with(&self, other: &PadicoRuntime) {
-        let other_kb = other.inner.borrow().kb.clone();
-        self.inner.borrow_mut().kb.share_cache_with(&other_kb);
-    }
-
-    /// The memoized route and [`gridtopo::PathInfo`] towards `remote`, if
-    /// a route table is installed and a route exists (see
-    /// [`crate::selector::TopologyKb::resolve_route`]).
-    pub fn resolved_route(
-        &self,
-        world: &SimWorld,
-        remote: NodeId,
-    ) -> Option<Rc<crate::selector::ResolvedRoute>> {
+    /// The route towards `remote`, if a route table is installed and a
+    /// route exists (see [`TopologyKb::route`]).
+    pub fn resolved_route(&self, remote: NodeId) -> Option<gridtopo::Route> {
         let inner = self.inner.borrow();
-        inner.kb.resolve_route(world, inner.node, remote)
-    }
-
-    /// This node's route-cache counters.
-    pub fn route_cache_stats(&self) -> crate::selector::RouteCacheStats {
-        self.inner.borrow().kb.route_cache_stats()
+        inner.kb.route(inner.node, remote)
     }
 
     /// Marks `gateway` dead in this node's knowledge base (see
@@ -379,12 +351,20 @@ impl PadicoRuntime {
             // once, so every relayed stream finds a hot trunk (the
             // simulated TCP keeps congestion state for the connection's
             // lifetime, like a cached GridFTP data channel). The padding
-            // is sized from the cached PathInfo towards the gateway — two
+            // is sized from the PathInfo towards the gateway — two
             // bandwidth-delay products of the actual path — instead of one
-            // hard-wired constant for every WAN class.
+            // hard-wired constant for every WAN class. A route's additive
+            // cost is the sum of its per-hop link costs.
             let warmup = self
-                .resolved_route(world, via)
-                .map(|r| relay::warmup_bytes_for(&r.info))
+                .resolved_route(via)
+                .map(|route| {
+                    let cost = route
+                        .hops
+                        .iter()
+                        .map(|h| gridtopo::link_cost(world, h.network))
+                        .sum();
+                    relay::warmup_bytes_for(&gridtopo::PathInfo::for_route(world, &route, cost))
+                })
                 .unwrap_or(relay::TRUNK_WARMUP_BYTES);
             mux.warm_up(world, warmup);
         }
@@ -991,14 +971,6 @@ pub fn runtimes_for_grid(
                 gateway_rts.push(rt.clone());
             }
             runtimes.push(rt);
-        }
-    }
-    // The gateway runtimes resolve a route per relayed stream: pool their
-    // memoized resolutions in one shared cache (entries are source-keyed,
-    // so sharing is observation-safe) instead of one LRU per runtime.
-    if let Some((first, rest)) = gateway_rts.split_first() {
-        for rt in rest {
-            rt.share_route_cache_with(first);
         }
     }
     // Pre-warm the gateway-to-gateway trunks now that every proxy

@@ -11,14 +11,13 @@
 //! default, flat as the oracle), the knowledge base is *route-aware*:
 //! endpoints that share no network no longer fail — the selector resolves
 //! them to a [`LinkDecision::Relayed`] through the first gateway of the
-//! multi-hop route, memoizing the resolved [`Route`]/[`PathInfo`] in a
-//! bounded cache so the hot path never re-derives hop vectors.
+//! multi-hop route, looked up in the table on every decision.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use gridtopo::{GridRoutes, PathInfo, Route};
+use gridtopo::{GridRoutes, Route};
 use simnet::{NetworkClass, NetworkId, NodeId, SimWorld};
 
 pub use gridtopo::BackpressureMode;
@@ -68,13 +67,6 @@ pub struct SelectorPreferences {
     /// windows only). Only effective with `relay_backpressure = Credit`,
     /// which the budget rides on.
     pub gateway_trunk_budget: usize,
-    /// Entries kept in the selector's route cache (resolved
-    /// [`Route`]/[`PathInfo`] pairs, memoized on the link-decision hot
-    /// path; evicted by LRU recency beyond this bound — a hot gateway
-    /// destination survives any number of one-shot lookups — and
-    /// invalidated whenever a route table is installed or a gateway is
-    /// marked down).
-    pub route_cache_capacity: usize,
     /// Gateway failover: relayed streams ride liveness-monitored trunks
     /// (heartbeats + dead-carrier detection) on *every* leg, a dead trunk
     /// marks its gateway down in the knowledge base, routes re-resolve
@@ -112,7 +104,6 @@ impl Default for SelectorPreferences {
             refuse_plaintext_relay: false,
             relay_backpressure: BackpressureMode::Drop,
             gateway_trunk_budget: 0,
-            route_cache_capacity: 4096,
             gateway_failover: false,
             forbid_san: false,
         }
@@ -173,154 +164,6 @@ impl LinkDecision {
     }
 }
 
-/// A fully resolved route with its aggregate path characteristics — what
-/// the route cache memoizes, behind an `Rc` so hot-path consumers share
-/// one materialization instead of re-deriving hop vectors per lookup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResolvedRoute {
-    /// The materialized multi-hop route.
-    pub route: Route,
-    /// Aggregate characteristics of the route.
-    pub info: PathInfo,
-}
-
-/// Cache statistics, for tests and the routing bench.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that resolved and inserted a fresh entry.
-    pub misses: u64,
-    /// Entries evicted by the LRU bound.
-    pub evictions: u64,
-    /// Invalidation sweeps. Route-table installs clear everything;
-    /// gateway-state changes sweep *selectively* — down drops only the
-    /// entries relaying through the affected gateway, up drops only the
-    /// detours resolved while some gateway was down.
-    pub invalidations: u64,
-    /// Entries currently resident.
-    pub len: usize,
-}
-
-/// Bounded LRU memo of resolved routes, keyed by ordered node pair.
-/// Hierarchical tables materialize `Route`/`PathInfo` lazily, so the cache
-/// is what keeps repeated link decisions (and the gateway proxies'
-/// per-stream lookups) allocation-free.
-///
-/// Eviction is by *recency*, not insertion order: each entry carries a
-/// monotonically stamped last-use tick, and the `order` queue holds
-/// (stamp, key) records — stale records (an entry re-stamped since) are
-/// skipped on pop, so a hit costs O(1) (one push, no search) and eviction
-/// is amortized O(1). A hot gateway destination therefore survives any
-/// number of one-shot lookups streaming past it, which FIFO eviction —
-/// the previous policy — did not guarantee.
-#[derive(Debug, Default)]
-struct RouteCache {
-    entries: HashMap<(NodeId, NodeId), CacheEntry>,
-    /// (stamp, key) in stamp order; records whose stamp no longer matches
-    /// the entry's are stale and skipped.
-    order: VecDeque<(u64, (NodeId, NodeId))>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
-}
-
-/// One memoized resolution: the shared materialization, its last-use
-/// recency stamp, and whether it was resolved while some gateway was
-/// marked down (such detours are swept when a gateway returns).
-#[derive(Debug)]
-struct CacheEntry {
-    value: Rc<ResolvedRoute>,
-    stamp: u64,
-    avoidance: bool,
-}
-
-impl RouteCache {
-    /// Looks `key` up, refreshing its recency on a hit.
-    fn get(&mut self, key: (NodeId, NodeId)) -> Option<Rc<ResolvedRoute>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.entries.get_mut(&key)?;
-        entry.stamp = tick;
-        let value = entry.value.clone();
-        self.order.push_back((tick, key));
-        // Hits stamp a fresh record each: hit-dominated workloads must
-        // compact here too or the lazy-deletion queue grows one record
-        // per lookup forever.
-        self.compact_if_bloated();
-        Some(value)
-    }
-
-    /// Drops stale order records once they outnumber the live entries,
-    /// keeping the queue O(resident entries) amortized-O(1) per call.
-    fn compact_if_bloated(&mut self) {
-        if self.order.len() > 2 * self.entries.len().max(16) {
-            let entries = &self.entries;
-            self.order
-                .retain(|(stamp, key)| entries.get(key).is_some_and(|e| e.stamp == *stamp));
-        }
-    }
-
-    fn insert(
-        &mut self,
-        key: (NodeId, NodeId),
-        value: Rc<ResolvedRoute>,
-        avoidance: bool,
-        capacity: usize,
-    ) {
-        let capacity = capacity.max(1);
-        while self.entries.len() >= capacity && !self.entries.contains_key(&key) {
-            let Some((stamp, oldest)) = self.order.pop_front() else {
-                break;
-            };
-            match self.entries.get(&oldest) {
-                // Live record: this is genuinely the least recently used.
-                Some(e) if e.stamp == stamp => {
-                    self.entries.remove(&oldest);
-                    self.evictions += 1;
-                }
-                // Stale record (the entry was touched again later, or is
-                // already gone): skip, its newer record is further back.
-                _ => {}
-            }
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                value,
-                stamp: tick,
-                avoidance,
-            },
-        );
-        self.order.push_back((tick, key));
-        self.compact_if_bloated();
-    }
-
-    /// Selective invalidation for a gateway going down: only the entries
-    /// whose resolved route relays *through* it are dropped — every other
-    /// entry keeps serving hits. Stale order records are skipped lazily.
-    fn invalidate_through(&mut self, gateway: NodeId) {
-        // simlint: allow(D1, reason = "pure per-entry predicate; the survivor set is visit-order independent and eviction order comes from the stamped recency queue, not map order")
-        self.entries
-            .retain(|_, e| !e.value.info.relays.contains(&gateway));
-        self.invalidations += 1;
-    }
-
-    /// Selective invalidation for a gateway coming back: only the entries
-    /// resolved while some gateway was down are dropped. Those routes
-    /// detour around a gateway that may now be live again — still correct,
-    /// but possibly no longer optimal, so they must re-resolve.
-    fn invalidate_avoidance(&mut self) {
-        // simlint: allow(D1, reason = "pure per-entry predicate; the survivor set is visit-order independent and eviction order comes from the stamped recency queue, not map order")
-        self.entries.retain(|_, e| !e.avoidance);
-        self.invalidations += 1;
-    }
-}
-
 /// The topology knowledge base: what the runtime knows about reachable
 /// networks and multi-hop routes, plus the user preferences.
 #[derive(Debug, Clone, Default)]
@@ -334,9 +177,6 @@ pub struct TopologyKb {
     /// marked by hand). With `gateway_failover` set, route resolution
     /// avoids them; shared across clones of this knowledge base.
     down_gateways: Rc<RefCell<BTreeSet<NodeId>>>,
-    /// Memoized resolved routes (shared across clones of this knowledge
-    /// base, invalidated whenever `routes` is replaced).
-    cache: Rc<RefCell<RouteCache>>,
     /// Times the selector resolved a pair to a relayed decision while
     /// `secure_inter_site` was set: that traffic crosses the WAN legs in
     /// plaintext (shared across clones of this knowledge base).
@@ -363,26 +203,10 @@ impl TopologyKb {
         }
     }
 
-    /// Installs (or replaces) the multi-hop route table. Every cached
-    /// resolved route is invalidated: entries derived from the previous
-    /// table must never serve lookups against the new one. This instance
-    /// gets a *fresh* cache rather than clearing the shared one: clones
-    /// of this knowledge base still hold the previous table, and through
-    /// a shared cleared cache they would repopulate old-table routes
-    /// right back into this instance's lookups. Counters carry over so
-    /// the statistics stay monotonic.
+    /// Installs (or replaces) the multi-hop route table. Clones of this
+    /// knowledge base keep resolving against the table they hold.
     pub fn set_routes(&mut self, routes: Rc<GridRoutes>) {
         self.routes = Some(routes);
-        let prev = self.cache.borrow();
-        let fresh = RouteCache {
-            hits: prev.hits,
-            misses: prev.misses,
-            evictions: prev.evictions,
-            invalidations: prev.invalidations + 1,
-            ..Default::default()
-        };
-        drop(prev);
-        self.cache = Rc::new(RefCell::new(fresh));
     }
 
     /// Replaces the preferences in place, preserving the route table and
@@ -396,110 +220,35 @@ impl TopologyKb {
         self.routes.clone()
     }
 
-    /// Resolves (and memoizes) the full route and its [`PathInfo`] from
-    /// `a` to `b`. This is the selector hot path: a hit costs one hash
-    /// lookup and an `Rc` clone; a miss materializes the route lazily
-    /// from the installed table — for a hierarchical table that is the
-    /// only time hop vectors are ever built.
-    pub fn resolve_route(
-        &self,
-        world: &SimWorld,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<Rc<ResolvedRoute>> {
+    /// The route from `a` to `b` in the installed table, if any. With
+    /// `gateway_failover` set it avoids every gateway marked down,
+    /// re-composing through any surviving gateway of the site.
+    pub fn route(&self, a: NodeId, b: NodeId) -> Option<Route> {
         let routes = self.routes.as_ref()?;
-        {
-            let mut cache = self.cache.borrow_mut();
-            if let Some(hit) = cache.get((a, b)) {
-                cache.hits += 1;
-                return Some(hit);
-            }
-        }
         let down = self.down_gateways.borrow();
-        let (route, cost) = if self.prefs.gateway_failover && !down.is_empty() {
-            let route = routes.route_avoiding(a, b, &down)?;
-            // The additive cost of any materialized route is the sum of
-            // its per-hop link costs (the hier tests assert this), so sum
-            // them here instead of paying a second composition through
-            // `cost_avoiding` on the failover path.
-            let cost = route
-                .hops
-                .iter()
-                .map(|h| gridtopo::link_cost(world, h.network))
-                .sum();
-            (route, cost)
+        if self.prefs.gateway_failover && !down.is_empty() {
+            routes.route_avoiding(a, b, &down)
         } else {
-            (routes.route(a, b)?, routes.cost(a, b).unwrap_or(0))
-        };
-        let avoidance = self.prefs.gateway_failover && !down.is_empty();
-        drop(down);
-        let info = PathInfo::for_route(world, &route, cost);
-        let resolved = Rc::new(ResolvedRoute { route, info });
-        let mut cache = self.cache.borrow_mut();
-        cache.misses += 1;
-        cache.insert(
-            (a, b),
-            resolved.clone(),
-            avoidance,
-            self.prefs.route_cache_capacity,
-        );
-        Some(resolved)
+            routes.route(a, b)
+        }
     }
 
     /// Marks `gateway` dead: with `gateway_failover` set, subsequent
-    /// resolutions avoid it (re-composing routes through any surviving
-    /// gateway of its site). Invalidation is *selective*: only the cached
-    /// entries whose route relays through the dead gateway are dropped —
-    /// routes that never touch it keep serving hits, so one gateway death
-    /// does not cold-start every other destination this node talks to.
-    /// Learned automatically from trunk liveness by the runtime; also
-    /// available to tests and operators. Acts on the *shared* cache, so
-    /// the sweep reaches every knowledge base sharing it.
+    /// resolutions avoid it. Learned automatically from trunk liveness by
+    /// the runtime; also available to tests and operators.
     pub fn mark_gateway_down(&self, gateway: NodeId) {
-        if self.down_gateways.borrow_mut().insert(gateway) {
-            self.cache.borrow_mut().invalidate_through(gateway);
-        }
+        self.down_gateways.borrow_mut().insert(gateway);
     }
 
-    /// Marks a previously down gateway live again (restarted process).
-    /// Selectively drops the detour entries — routes resolved while some
-    /// gateway was down — so traffic re-optimizes through the returned
-    /// gateway; entries resolved on a clean table are untouched.
+    /// Marks a previously down gateway live again (restarted process), so
+    /// routes go through it again.
     pub fn mark_gateway_up(&self, gateway: NodeId) {
-        if self.down_gateways.borrow_mut().remove(&gateway) {
-            self.cache.borrow_mut().invalidate_avoidance();
-        }
+        self.down_gateways.borrow_mut().remove(&gateway);
     }
 
     /// The gateways currently marked down.
     pub fn down_gateways(&self) -> Vec<NodeId> {
         self.down_gateways.borrow().iter().copied().collect()
-    }
-
-    /// Adopts `other`'s route cache, pooling both knowledge bases'
-    /// memoized resolutions in one shared LRU. Entries are keyed by the
-    /// *(source, destination)* pair, so knowledge bases of different nodes
-    /// never serve each other's routes — sharing only pools the memory
-    /// bound and lets a gateway-state sweep reach every sharer at once.
-    /// Gateway runtimes resolve a route per relayed stream, so the grid
-    /// bring-up shares one cache across them instead of one per runtime.
-    /// Sharers should hold the same route table (re-share after
-    /// republishing routes: [`TopologyKb::set_routes`] detaches into a
-    /// fresh cache by design).
-    pub fn share_cache_with(&mut self, other: &TopologyKb) {
-        self.cache = Rc::clone(&other.cache);
-    }
-
-    /// A snapshot of the route-cache counters.
-    pub fn route_cache_stats(&self) -> RouteCacheStats {
-        let c = self.cache.borrow();
-        RouteCacheStats {
-            hits: c.hits,
-            misses: c.misses,
-            evictions: c.evictions,
-            invalidations: c.invalidations,
-            len: c.entries.len(),
-        }
     }
 
     /// Times the selector resolved a relayed decision while
@@ -522,8 +271,8 @@ impl TopologyKb {
     /// under `refuse_plaintext_relay`. Full secure trunks are the ROADMAP
     /// follow-up.
     fn relayed(&self, world: &SimWorld, a: NodeId, b: NodeId) -> Option<LinkDecision> {
-        let resolved = self.resolve_route(world, a, b)?;
-        let first = resolved.route.first_hop()?;
+        let route = self.route(a, b)?;
+        let first = route.first_hop()?;
         if self.prefs.secure_inter_site {
             self.plaintext_relay_events
                 .set(self.plaintext_relay_events.get() + 1);
@@ -554,7 +303,7 @@ impl TopologyKb {
         Some(LinkDecision::Relayed {
             via: first.node,
             network,
-            hops: resolved.info.hop_count as u32,
+            hops: route.hop_count() as u32,
         })
     }
 
@@ -840,94 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_hits_after_first_resolution() {
-        let mut world = simnet::SimWorld::new(4);
-        let grid = gridtopo::GridTopology::two_sites(&mut world, 3);
-        let kb =
-            TopologyKb::with_routes(SelectorPreferences::default(), Rc::new(grid.routes.clone()));
-        let a1 = grid.site(0).node(1);
-        let b1 = grid.site(1).node(1);
-        let first = kb.resolve_route(&world, a1, b1).unwrap();
-        let stats = kb.route_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (0, 1, 1));
-        let second = kb.resolve_route(&world, a1, b1).unwrap();
-        assert!(
-            Rc::ptr_eq(&first, &second),
-            "hit shares the materialization"
-        );
-        assert_eq!(kb.route_cache_stats().hits, 1);
-        // The selector's relayed decisions ride the same cache.
-        let _ = kb.select_vlink(&world, a1, b1);
-        assert_eq!(kb.route_cache_stats().hits, 2);
-        assert_eq!(first.info.hop_count, 3);
-        assert_eq!(first.route.relays().count(), 2);
-    }
-
-    #[test]
-    fn route_cache_evicts_least_recent_beyond_capacity() {
-        let mut world = simnet::SimWorld::new(4);
-        let grid = gridtopo::GridTopology::two_sites(&mut world, 4);
-        let kb = TopologyKb::with_routes(
-            SelectorPreferences {
-                route_cache_capacity: 2,
-                ..Default::default()
-            },
-            Rc::new(grid.routes.clone()),
-        );
-        let targets: Vec<_> = (1..4).map(|i| grid.site(1).node(i)).collect();
-        let src = grid.site(0).node(1);
-        for &t in &targets {
-            kb.resolve_route(&world, src, t).unwrap();
-        }
-        let stats = kb.route_cache_stats();
-        assert_eq!(stats.len, 2, "bounded at the configured capacity");
-        assert_eq!(stats.evictions, 1, "the least-recent entry left");
-        // The evicted (least recently used) pair resolves again as a miss.
-        kb.resolve_route(&world, src, targets[0]).unwrap();
-        assert_eq!(kb.route_cache_stats().misses, 4);
-    }
-
-    #[test]
-    fn route_cache_recency_keeps_hot_entries_over_one_shot_lookups() {
-        // The FIFO policy this replaces evicted the *oldest inserted*
-        // entry — a hot gateway destination resolved early died as soon
-        // as a few one-shot lookups streamed past. LRU must keep it.
-        let mut world = simnet::SimWorld::new(4);
-        let grid = gridtopo::GridTopology::two_sites(&mut world, 6);
-        let kb = TopologyKb::with_routes(
-            SelectorPreferences {
-                route_cache_capacity: 3,
-                ..Default::default()
-            },
-            Rc::new(grid.routes.clone()),
-        );
-        let src = grid.site(0).node(1);
-        let hot = grid.site(1).node(1);
-        let one_shots: Vec<_> = (2..6).map(|i| grid.site(1).node(i)).collect();
-        kb.resolve_route(&world, src, hot).unwrap();
-        for &cold in &one_shots {
-            // Touch the hot pair between every one-shot lookup, like a
-            // gateway resolving the same destination per relayed stream.
-            assert!(kb.resolve_route(&world, src, hot).is_some());
-            kb.resolve_route(&world, src, cold).unwrap();
-        }
-        let stats = kb.route_cache_stats();
-        assert_eq!(stats.misses, 1 + one_shots.len() as u64);
-        assert_eq!(stats.hits, one_shots.len() as u64);
-        assert!(stats.evictions >= 2, "the one-shots evicted each other");
-        // The hot entry is still resident: another touch is a hit, and
-        // the hit shares the same materialization.
-        let before = kb.route_cache_stats().hits;
-        let again = kb.resolve_route(&world, src, hot).unwrap();
-        assert_eq!(kb.route_cache_stats().hits, before + 1, "hot stays hot");
-        assert_eq!(again.info.hop_count, 3);
-        // Under FIFO the hot pair (inserted first) would have been the
-        // first casualty; under LRU the evictions all hit cold pairs.
-        assert_eq!(kb.route_cache_stats().len, 3);
-    }
-
-    #[test]
-    fn marking_a_gateway_down_resolves_around_it_and_invalidates() {
+    fn marking_a_gateway_down_resolves_around_it_until_it_is_marked_up() {
         let mut world = simnet::SimWorld::new(4);
         let grid = gridtopo::GridTopology::star(
             &mut world,
@@ -946,116 +608,51 @@ mod tests {
         );
         let src = grid.site(0).node(2);
         let dst = grid.site(1).node(2);
-        let healthy = kb.resolve_route(&world, src, dst).unwrap();
-        assert!(healthy.info.relays.contains(&grid.site(1).gateway));
-        // A second entry that never touches the victim: an intra-site
-        // pair, relayed through nothing.
-        let local = kb.resolve_route(&world, src, grid.site(0).node(1)).unwrap();
-        assert!(local.info.relays.is_empty());
-        assert_eq!(kb.route_cache_stats().len, 2);
-        // The far primary dies: invalidation is selective — only the
-        // entry relaying through the corpse is dropped.
+        let relays = || kb.route(src, dst).unwrap().relays().collect::<Vec<_>>();
+        assert!(relays().contains(&grid.site(1).gateway));
+        // The far primary dies: the route avoids it.
         kb.mark_gateway_down(grid.site(1).gateway);
-        let stats = kb.route_cache_stats();
-        assert_eq!(stats.len, 1, "the untouched local entry survives");
-        assert_eq!(stats.invalidations, 1);
         assert_eq!(kb.down_gateways(), vec![grid.site(1).gateway]);
-        let hits = stats.hits;
-        assert!(kb
-            .resolve_route(&world, src, grid.site(0).node(1))
-            .is_some());
-        assert_eq!(
-            kb.route_cache_stats().hits,
-            hits + 1,
-            "the surviving entry still serves hits"
-        );
-        let rerouted = kb.resolve_route(&world, src, dst).unwrap();
+        let rerouted = relays();
         assert!(
-            rerouted.info.relays.contains(&grid.site(1).gateways[1]),
-            "the surviving secondary carries the route: {:?}",
-            rerouted.info.relays
+            rerouted.contains(&grid.site(1).gateways[1]),
+            "the surviving secondary carries the route: {rerouted:?}"
         );
-        assert!(!rerouted.info.relays.contains(&grid.site(1).gateway));
+        assert!(!rerouted.contains(&grid.site(1).gateway));
         // Selector decisions follow the rerouted resolution.
-        let d = kb.select_vlink(&world, src, dst);
-        assert!(d.is_relayed());
-        // Recovery: marking it up sweeps only the detour entry (resolved
-        // under avoidance); the local entry stays and the primary returns.
+        assert!(kb.select_vlink(&world, src, dst).is_relayed());
+        // Recovery: the primary carries the route again.
         kb.mark_gateway_up(grid.site(1).gateway);
-        let stats = kb.route_cache_stats();
-        assert_eq!(stats.len, 1, "the detour left, the local entry stayed");
-        assert_eq!(stats.invalidations, 2);
-        let back = kb.resolve_route(&world, src, dst).unwrap();
-        assert!(back.info.relays.contains(&grid.site(1).gateway));
+        assert!(relays().contains(&grid.site(1).gateway));
     }
 
     #[test]
-    fn shared_cache_pools_entries_and_sweeps_reach_every_sharer() {
-        let mut world = simnet::SimWorld::new(4);
-        let grid = gridtopo::GridTopology::star(
-            &mut world,
-            &[
-                gridtopo::SiteSpec::san_cluster("a", 3).with_gateways(2),
-                gridtopo::SiteSpec::san_cluster("b", 3).with_gateways(2),
-            ],
-            simnet::NetworkSpec::vthd_wan(),
-        );
-        let prefs = SelectorPreferences {
-            gateway_failover: true,
-            ..Default::default()
-        };
-        let routes = Rc::new(grid.routes.clone());
-        let kb_a = TopologyKb::with_routes(prefs.clone(), routes.clone());
-        let mut kb_b = TopologyKb::with_routes(prefs, routes);
-        kb_b.share_cache_with(&kb_a);
-        // Each knowledge base resolves from its own source node; entries
-        // are source-keyed, so they pool without ever cross-serving.
-        let a_src = grid.site(0).gateway;
-        let b_src = grid.site(0).gateways[1];
-        let dst = grid.site(1).node(2);
-        kb_a.resolve_route(&world, a_src, dst).unwrap();
-        kb_b.resolve_route(&world, b_src, dst).unwrap();
-        assert_eq!(kb_a.route_cache_stats().len, 2, "one pooled cache");
-        assert_eq!(kb_a.route_cache_stats().misses, 2);
-        // Both routes relay through the far primary; one sharer learning
-        // of its death sweeps the affected entries of every sharer.
-        kb_a.mark_gateway_down(grid.site(1).gateway);
-        assert_eq!(kb_a.route_cache_stats().len, 0);
-        assert_eq!(kb_b.route_cache_stats().invalidations, 1);
-    }
-
-    #[test]
-    fn stale_cache_is_invalidated_when_routes_are_recomputed() {
+    fn recomputed_routes_are_used_on_the_next_lookup() {
         let mut world = simnet::SimWorld::new(4);
         let grid = gridtopo::GridTopology::two_sites(&mut world, 3);
         let mut kb =
             TopologyKb::with_routes(SelectorPreferences::default(), Rc::new(grid.routes.clone()));
         let a1 = grid.site(0).node(1);
         let b1 = grid.site(1).node(1);
-        // Cached while the pair is gateway-relayed: 3 hops.
-        assert_eq!(kb.resolve_route(&world, a1, b1).unwrap().info.hop_count, 3);
+        // While the pair is gateway-relayed: 3 hops.
+        assert_eq!(kb.route(a1, b1).unwrap().hop_count(), 3);
         assert!(kb.select_vlink(&world, a1, b1).is_relayed());
         // The topology changes: a new LAN joins the two nodes directly.
         let lan = world.add_network(simnet::NetworkSpec::ethernet_100());
         world.attach(a1, lan);
         world.attach(b1, lan);
         // (The shortcut breaks gateway isolation, so the recomputed table
-        // is the flat oracle.) Installing it must invalidate the cache:
-        // a stale 3-hop entry would keep relaying a now-direct pair.
+        // is the flat oracle.)
         kb.set_routes(Rc::new(gridtopo::GridRoutes::Flat(
             gridtopo::RouteTable::compute(&world),
         )));
-        let stats = kb.route_cache_stats();
-        assert_eq!(stats.len, 0, "installation clears every entry");
-        assert_eq!(stats.invalidations, 1);
-        let fresh = kb.resolve_route(&world, a1, b1).unwrap();
-        assert_eq!(fresh.info.hop_count, 1, "resolved against the new table");
+        assert_eq!(kb.route(a1, b1).unwrap().hop_count(), 1);
         // And the link decision is now direct, not relayed.
         assert_eq!(kb.select_vlink(&world, a1, b1), LinkDecision::Tcp(lan));
     }
 
     #[test]
-    fn clones_with_the_old_table_cannot_repopulate_a_new_tables_cache() {
+    fn clones_keep_resolving_against_their_own_table() {
         let mut world = simnet::SimWorld::new(4);
         let grid = gridtopo::GridTopology::two_sites(&mut world, 3);
         let mut kb =
@@ -1063,7 +660,6 @@ mod tests {
         let old_kb = kb.clone();
         let a1 = grid.site(0).node(1);
         let b1 = grid.site(1).node(1);
-        assert_eq!(kb.resolve_route(&world, a1, b1).unwrap().info.hop_count, 3);
         // New direct LAN; the original installs a recomputed table.
         let lan = world.add_network(simnet::NetworkSpec::ethernet_100());
         world.attach(a1, lan);
@@ -1071,13 +667,8 @@ mod tests {
         kb.set_routes(Rc::new(gridtopo::GridRoutes::Flat(
             gridtopo::RouteTable::compute(&world),
         )));
-        // The clone still resolves against the old table (its own cache)…
-        assert_eq!(
-            old_kb.resolve_route(&world, a1, b1).unwrap().info.hop_count,
-            3
-        );
-        // …but must not leak that stale entry into the updated instance.
-        assert_eq!(kb.resolve_route(&world, a1, b1).unwrap().info.hop_count, 1);
+        assert_eq!(old_kb.route(a1, b1).unwrap().hop_count(), 3);
+        assert_eq!(kb.route(a1, b1).unwrap().hop_count(), 1);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!    own small all-pairs Dijkstra;
 //! 3. **a composed resolver** — `source → exit gateway → backbone gateway
 //!    path → entry gateway → destination`, minimized over every (exit,
-//!    entry) gateway pair of the two sites, materialized lazily per lookup
-//!    (and memoized by the selector's route cache upstream).
+//!    entry) gateway pair of the two sites, materialized lazily per lookup.
 //!
 //! Build cost collapses from O(N·E log N) to O(Σ per-site work +
 //! G·E_wan log G) and storage from O(N²) to O(Σ site² + G²). On a
@@ -854,7 +853,7 @@ impl HierRouteTable {
     }
 
     /// The full route from `src` to `dst`, materialized lazily from the
-    /// composed legs (the selector's route cache memoizes the result).
+    /// composed legs.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Route> {
         let (composed, _) = self.compose(src, dst)?;
         self.materialize(src, dst, composed)

@@ -20,9 +20,9 @@
 //!   gateway nodes with per-hop latency, bounded queues and drop /
 //!   backpressure accounting.
 //!
-//! The `padico_core` selector consumes [`GridRoutes`]/[`PathInfo`] so that
-//! endpoints sharing no network resolve to a *relayed* link decision
-//! instead of failing, memoizing resolved routes in its bounded cache.
+//! The `padico_core` selector consumes [`GridRoutes`] so that endpoints
+//! sharing no network resolve to a *relayed* link decision instead of
+//! failing.
 //!
 //! ## Example
 //!
@@ -64,4 +64,4 @@ pub use gateway::{
     BackpressureMode, GatewayStats, RelayConfig, RelayError, RelayFabric, RelayedMessage,
 };
 pub use hier::{BackboneDelta, HierRouteTable, IsolationViolation, ReconvergeStats, SiteLayout};
-pub use route::{hier_fallbacks, link_cost, GridRoutes, Hop, PathInfo, Route, RouteTable};
+pub use route::{link_cost, GridRoutes, Hop, PathInfo, Route, RouteTable};

@@ -9,10 +9,8 @@
 //! per-link costs, with fully deterministic tie-breaking so a given
 //! topology always yields bit-identical routing tables.
 
-// simlint: allow-file(D4, reason = "process-wide monotonic fallback counter plus a warn-once latch; Relaxed ops, no cross-thread ordering, no effect on simulation state")
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 
 use simnet::{NetworkClass, NetworkId, NodeId, SimDuration, SimWorld};
 
@@ -551,38 +549,22 @@ pub enum GridRoutes {
     Hier(crate::hier::HierRouteTable),
 }
 
-/// Times [`GridRoutes::compute_auto`] fell back to the flat oracle
-/// because the world violated gateway isolation (process-wide, monotonic).
-static HIER_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-/// The fallback warning is printed once per process, not per rebuild.
-static HIER_FALLBACK_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// Times the hierarchical route computation fell back to the flat oracle
-/// on a non-gateway-isolated world (see [`GridRoutes::compute_auto`]).
-pub fn hier_fallbacks() -> u64 {
-    HIER_FALLBACKS.load(AtomicOrdering::Relaxed)
-}
-
 impl GridRoutes {
     /// Computes routes for `world` under `layout`: hierarchical two-level
     /// tables when the world is gateway-isolated, otherwise — instead of
     /// panicking, which older revisions did — the flat all-pairs oracle,
-    /// with a one-time warning and the process-wide [`hier_fallbacks`]
-    /// counter incremented. Every builder and recomputation path goes
-    /// through here, so a site-bridging direct link degrades routing
-    /// performance, never correctness.
+    /// with a warning; [`GridRoutes::kind`] then reports `"flat"`. Every
+    /// builder and recomputation path goes through here, so a
+    /// site-bridging direct link degrades routing performance, never
+    /// correctness.
     pub fn compute_auto(world: &SimWorld, layout: &SiteLayout) -> GridRoutes {
         match crate::hier::HierRouteTable::try_compute(world, layout) {
             Ok(hier) => GridRoutes::Hier(hier),
             Err(violation) => {
-                HIER_FALLBACKS.fetch_add(1, AtomicOrdering::Relaxed);
-                if !HIER_FALLBACK_WARNED.swap(true, AtomicOrdering::Relaxed) {
-                    eprintln!(
-                        "warning: world is not gateway-isolated ({violation}); falling back \
-                         to the flat O(N²) route oracle — further fallbacks are counted in \
-                         gridtopo::hier_fallbacks() without repeating this warning"
-                    );
-                }
+                eprintln!(
+                    "warning: world is not gateway-isolated ({violation}); falling back \
+                     to the flat O(N²) route oracle (GridRoutes::kind() is \"flat\")"
+                );
                 GridRoutes::Flat(RouteTable::compute(world))
             }
         }

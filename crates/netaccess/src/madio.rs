@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use madeleine::{MadChannel, MadMessage, SendMode};
-use simnet::{SimDuration, SimWorld};
+use simnet::SimWorld;
 
 use crate::core::{NetAccessCore, Subsystem};
 
@@ -350,13 +350,6 @@ impl MadIO {
             }
         }
     }
-}
-
-/// Extra latency budgeted per message when header combining is disabled,
-/// exposed for the overhead experiment's analytical comparison.
-pub fn uncombined_header_penalty() -> SimDuration {
-    // One extra Madeleine message: its send + receive software overheads.
-    SimDuration::from_nanos(1_000)
 }
 
 #[cfg(test)]

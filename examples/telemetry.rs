@@ -122,7 +122,6 @@ fn main() {
         "relay.fabric.frames_delivered",
         "relay.gateway.credits_returned",
         "relay.proxy.bytes_forward",
-        "route.cache.hits",
         "trunk.credit.streams_opened",
         "trunk.memory.recv_high_water",
     ] {

@@ -36,7 +36,6 @@ fn all_preferences() -> Vec<SelectorPreferences> {
                             refuse_plaintext_relay: false,
                             relay_backpressure: backpressure,
                             gateway_trunk_budget: 0,
-                            route_cache_capacity: 4096,
                             gateway_failover: false,
                             forbid_san,
                         });
