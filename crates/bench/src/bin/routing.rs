@@ -49,12 +49,6 @@ fn main() {
         );
     }
     println!("(* = flat numbers extrapolated from sampled Dijkstra sources)");
-    for c in &cases {
-        println!(
-            "traffic @ {} nodes ({}): {:.0} events/s measured",
-            c.nodes, c.shape, c.events_per_sec
-        );
-    }
 
     let allreduce = allreduce_comparison(3, 6);
     println!(

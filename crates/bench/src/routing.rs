@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use gridtopo::{GridTopology, HierRouteTable, RelayConfig, RelayFabric, RouteTable, SiteSpec};
+use gridtopo::{GridTopology, HierRouteTable, RouteTable, SiteSpec};
 use middleware::MpiComm;
 use padico_core::{runtimes_for_grid, SelectorPreferences};
 use simnet::{NetworkSpec, NodeId, SimRng, SimWorld};
@@ -44,11 +44,6 @@ const ORACLE_SOURCES: usize = 12;
 
 /// (src, dst) pairs timed per lookup measurement.
 const LOOKUP_PAIRS: usize = 1000;
-
-/// Frames relayed in the measured traffic phase of each case.
-const TRAFFIC_FRAMES: usize = 1000;
-/// Destination nodes bound in the traffic phase.
-const TRAFFIC_DESTS: usize = 64;
 
 /// One swept case.
 #[derive(Debug, Clone)]
@@ -82,11 +77,6 @@ pub struct RoutingCase {
     pub cost_mismatches: usize,
     /// Oracle disagreements: differing reachability.
     pub reachability_mismatches: usize,
-    /// Simulator events per wall-clock second in the measured traffic
-    /// phase — real relayed frames through the full-size world, so the
-    /// row records an *executed* event rate at this node count, not an
-    /// extrapolation.
-    pub events_per_sec: f64,
 }
 
 impl RoutingCase {
@@ -279,31 +269,6 @@ pub fn routing_case(shape: &'static str, nodes: usize) -> RoutingCase {
         std::hint::black_box(hier.path_info(&world, a, b));
     });
 
-    // Measured traffic phase: relay real frames through the full-size
-    // world over the grid's (hierarchical) routes and record the event
-    // rate. Long ring paths may exceed the relay TTL — those frames are
-    // still executed work, which is what this phase measures.
-    let fabric = RelayFabric::new(grid.routes.clone(), RelayConfig::default());
-    for &node in &all {
-        fabric.attach(&mut world, node);
-    }
-    let dests = sample_nodes(&mut rng, &all, TRAFFIC_DESTS.min(n));
-    for &dst in &dests {
-        fabric.bind(&mut world, dst, 3, |_w, _msg| {});
-    }
-    let events_before = world.stats.events_executed;
-    let t0 = Instant::now();
-    for k in 0..TRAFFIC_FRAMES {
-        let src = all[rng.gen_range(0, n as u64) as usize];
-        let dst = dests[k % dests.len()];
-        if src != dst {
-            let _ = fabric.send(&mut world, src, dst, 3, vec![0u8; 256]);
-        }
-    }
-    world.run();
-    let events_per_sec =
-        (world.stats.events_executed - events_before) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
     RoutingCase {
         shape,
         nodes: n,
@@ -318,7 +283,6 @@ pub fn routing_case(shape: &'static str, nodes: usize) -> RoutingCase {
         pairs_checked,
         cost_mismatches,
         reachability_mismatches,
-        events_per_sec,
     }
 }
 
@@ -443,7 +407,7 @@ pub fn routing_json(cases: &[RoutingCase], allreduce: &AllreduceResult) -> Strin
                 "\"hier_lookup_ns\": {:.0}, ",
                 "\"build_speedup\": {:.1}, \"bytes_ratio\": {:.1}, ",
                 "\"pairs_checked\": {}, \"cost_mismatches\": {}, ",
-                "\"reachability_mismatches\": {}, \"events_per_sec\": {:.0}}}{}\n"
+                "\"reachability_mismatches\": {}}}{}\n"
             ),
             c.shape,
             c.nodes,
@@ -462,7 +426,6 @@ pub fn routing_json(cases: &[RoutingCase], allreduce: &AllreduceResult) -> Strin
             c.pairs_checked,
             c.cost_mismatches,
             c.reachability_mismatches,
-            c.events_per_sec,
             if i + 1 == cases.len() { "" } else { "," },
         ));
     }
@@ -514,13 +477,11 @@ mod tests {
             assert!(c.flat_measured, "{c:?}");
             assert!(c.hier_table_bytes < c.flat_table_bytes, "{c:?}");
             assert!(c.pairs_checked > 0, "{c:?}");
-            assert!(c.events_per_sec > 0.0, "no traffic recorded: {c:?}");
         }
     }
 
     /// The 10⁵-node case `BENCH_routing.json` records: a measured hier
-    /// build, the oracle check against sampled flat sources, and real
-    /// relayed traffic. Too slow for the debug suite, so CI runs it in
+    /// build and the oracle check against sampled flat sources. Too slow for the debug suite, so CI runs it in
     /// release by name:
     /// `cargo test --release -p padico-bench -- --ignored
     /// cluster_at_100k_nodes_matches_the_flat_oracle`.
@@ -531,7 +492,6 @@ mod tests {
         assert_eq!(c.cost_mismatches, 0, "{c:?}");
         assert_eq!(c.reachability_mismatches, 0, "{c:?}");
         assert!(c.pairs_checked > 0, "{c:?}");
-        assert!(c.events_per_sec > 0.0, "no traffic recorded: {c:?}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Stream-level gateway relaying: SOCKS-style proxies on gateway nodes.
 //!
-//! The frame-level [`gridtopo::RelayFabric`] relays individual frames; this
-//! module relays whole *byte streams*, which is what VLinks and Circuit
-//! links need. Every gateway node runs a proxy service: a connecting node
+//! This is the one gateway relay of the stack: it relays whole *byte
+//! streams*, which is what VLinks and Circuit links need, and its trunks
+//! ([`crate::trunk`]) hold the one credit ledger. Every gateway node runs
+//! a proxy service: a connecting node
 //! sends a small header naming the final destination node and service, the
 //! gateway opens the onward leg — chosen by its own selector, so the leg
 //! may itself be a SAN stream, plain TCP, Parallel Streams, or another

@@ -20,7 +20,37 @@ use std::rc::Rc;
 use gridtopo::{GridRoutes, Route};
 use simnet::{NetworkClass, NetworkId, NodeId, SimWorld};
 
-pub use gridtopo::BackpressureMode;
+/// How a relayed stream's gateway trunk resolves congestion.
+///
+/// Gateways relay VLink and Circuit streams over multiplexed trunks
+/// (`relay` and `trunk` modules); this mode picks the trunk streams' flow
+/// control. Both ends of a trunk derive it from the same preference, so
+/// it must be set uniformly across a grid.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BackpressureMode {
+    /// No trunk flow control and no replay buffer: a trunk stream sends
+    /// as fast as its carrier accepts, and the receiving gateway buffers
+    /// whatever arrives until the onward leg drains it. Congestion never
+    /// drops a byte; a dead carrier loses what it had in flight, because
+    /// a migrating stream keeps nothing to replay.
+    #[default]
+    Drop,
+    /// Each trunk stream gets a byte credit window (`relay::trunk_flow`):
+    /// a sender parks once it has used its credit and resumes when the
+    /// receiving gateway consumes bytes and returns credit, so a
+    /// gateway's memory per stream stays bounded by the window.
+    Credit,
+}
+
+impl BackpressureMode {
+    /// Lowercase label used in reports ("drop" / "credit").
+    pub fn label(self) -> &'static str {
+        match self {
+            BackpressureMode::Drop => "drop",
+            BackpressureMode::Credit => "credit",
+        }
+    }
+}
 
 /// User-defined preferences consulted by the selector.
 #[derive(Debug, Clone)]
@@ -52,10 +82,10 @@ pub struct SelectorPreferences {
     /// decisions instead of warning: no plaintext ever leaves the site,
     /// at the price of cross-site connectivity through gateways.
     pub refuse_plaintext_relay: bool,
-    /// How relay-layer congestion is resolved: `Drop` (bounded gateway
-    /// queues discard overload, the seed behaviour) or `Credit`
-    /// (credit-based backpressure — senders park instead, gateway trunks
-    /// run per-stream credit windows, nothing is dropped). Must be set
+    /// How relayed streams' gateway trunks resolve congestion: `Drop`
+    /// (no trunk flow control, the receiving gateway buffers what
+    /// arrives) or `Credit` (per-stream credit windows, senders park
+    /// instead of overrunning the gateway). Must be set
     /// uniformly across a grid: the two ends of a gateway trunk have to
     /// agree on windowing.
     pub relay_backpressure: BackpressureMode,

@@ -6,8 +6,7 @@
 //! straight to the WAN), only each site's *gateway* touches the backbone
 //! here — exactly the multi-site virtual-organization shape of real grids.
 //! Cross-site traffic therefore shares no network end-to-end and must be
-//! relayed, which is what the [`crate::route`] and [`crate::gateway`]
-//! layers provide.
+//! relayed along the multi-hop routes [`crate::route`] computes.
 
 use simnet::{NetworkId, NetworkSpec, NodeId, SimWorld};
 
@@ -282,11 +281,9 @@ impl GridTopology {
     }
 
     /// Node → site map in dense node-id order (a node outside every site
-    /// — impossible for builder-made grids — maps to `u16::MAX`). This is
-    /// the shared input of mirror-world ownership
-    /// ([`simnet::SimWorld::set_mirror_owners`]) and the relay fabric's
-    /// wire credit plane
-    /// ([`crate::gateway::RelayFabric::enable_wire_credit_returns`]).
+    /// — impossible for builder-made grids — maps to `u16::MAX`): the
+    /// shard ownership a partitioned run of the grid hands to
+    /// [`simnet::SimWorld::set_mirror_owners`].
     pub fn site_of_nodes(&self) -> Vec<u16> {
         let max = self
             .sites
@@ -629,6 +626,138 @@ mod tests {
             for &n in &site.nodes {
                 assert_eq!(site_of[n.0 as usize], i as u16);
             }
+        }
+    }
+
+    /// Request and reply tags of the mirror traffic.
+    const MIRROR_REQ: simnet::ProtoId = simnet::ProtoId(simnet::ProtoId::USER_BASE.0 + 71);
+    const MIRROR_REP: simnet::ProtoId = simnet::ProtoId(simnet::ProtoId::USER_BASE.0 + 72);
+    /// Requests each sender issues.
+    const MIRROR_REQUESTS: u64 = 12;
+
+    /// Builds the two-site mirror scenario into `world`: identically for
+    /// the single run (`shard == None`) and for each shard of the
+    /// partitioned run (`Some(s)`: the whole grid is built — same ids,
+    /// same order — but handlers and traffic exist only on site `s`).
+    /// Raw frames stay inside each site over its SAN, and cross the
+    /// shared backbone between the two gateways; every request is
+    /// answered on the network it arrived on.
+    fn build_mirror(world: &mut SimWorld, shard: Option<u16>) -> GridTopology {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        let g = GridTopology::two_sites(world, 3);
+        if shard.is_some() {
+            world.set_mirror_owners(g.site_of_nodes());
+        }
+        for site in 0..2 {
+            if shard.is_some_and(|s| s as usize != site) {
+                continue;
+            }
+            let s = g.site(site);
+            let san = s.san.expect("two_sites builds SAN clusters");
+            // Requests, replies and the sum of their arrival times: the
+            // sum puts every delivery's timing into the compared snapshot.
+            let (requests, replies, arrived_ns) = (
+                Rc::new(Cell::new(0u64)),
+                Rc::new(Cell::new(0u64)),
+                Rc::new(Cell::new(0u64)),
+            );
+            let label = site.to_string();
+            let (rq, rp, at) = (requests.clone(), replies.clone(), arrived_ns.clone());
+            world.metrics.register_collector(move |b| {
+                b.counter("mirror.requests", &[("site", &label)], rq.get());
+                b.counter("mirror.replies", &[("site", &label)], rp.get());
+                b.counter("mirror.arrived_ns", &[("site", &label)], at.get());
+            });
+            for &node in &s.nodes {
+                let (rq, at) = (requests.clone(), arrived_ns.clone());
+                world.register_handler(node, MIRROR_REQ, move |w, net, f| {
+                    rq.set(rq.get() + 1);
+                    at.set(at.get() + w.now().as_nanos());
+                    let reply = simnet::Frame::new(f.dst, f.src, MIRROR_REP, vec![0u8; 64]);
+                    w.send_frame(net, reply)
+                        .expect("reply on the arrival network");
+                });
+                let (rp, at) = (replies.clone(), arrived_ns.clone());
+                world.register_handler(node, MIRROR_REP, move |w, _net, _f| {
+                    rp.set(rp.get() + 1);
+                    at.set(at.get() + w.now().as_nanos());
+                });
+            }
+            let flows = [
+                (san, s.node(1), s.node(2)),
+                (g.backbones[0], s.gateway, g.site(1 - site).gateway),
+            ];
+            for (j, (net, src, dst)) in flows.into_iter().enumerate() {
+                // Each flow keeps its own send times whichever world runs it.
+                let lane = (2 * site + j) as u64;
+                for k in 0..MIRROR_REQUESTS {
+                    let at = simnet::SimTime::from_nanos(1_000 + k * 40_000 + lane * 3_100);
+                    let bytes = 256 + 64 * k as usize;
+                    world.schedule_at(at, move |w| {
+                        let frame = simnet::Frame::new(src, dst, MIRROR_REQ, vec![0u8; bytes]);
+                        w.send_frame(net, frame).expect("mirror request");
+                    });
+                }
+            }
+        }
+        g
+    }
+
+    /// The partitioned executor over mirror worlds: every shard builds
+    /// the same two-site grid, owns one site (`site_of_nodes`) and
+    /// windows on the backbone's latency (`trunk_lookaheads`). Frames
+    /// whose destination another shard owns cross at their true delivery
+    /// time, so the merged snapshot is byte-identical to the single-queue
+    /// run at any thread count.
+    #[test]
+    fn mirror_worlds_match_the_single_queue_run() {
+        let seed = 0x317;
+        let mut world = SimWorld::new(seed);
+        let g = build_mirror(&mut world, None);
+        world.run();
+        let single = world.metrics_snapshot();
+        let trunks = g.trunk_lookaheads(&world);
+        let floor = trunks.iter().map(|(_, _, d)| d).min().expect("one trunk");
+
+        // 4 flows (two SAN pairs, both gateway directions) × requests.
+        let flows = 4 * MIRROR_REQUESTS;
+        assert_eq!(single.counter_total("mirror.requests"), flows);
+        assert_eq!(single.counter_total("mirror.replies"), flows);
+        // The VTHD backbone's 8e-5 loss draws from each world's own RNG
+        // stream; equivalence needs it to lose nothing in any of them.
+        assert_eq!(single.counter_total("sim.net.frames_dropped"), 0);
+
+        for threads in [1, 2] {
+            let part = simnet::Partition {
+                shards: 2,
+                threads,
+                lookahead: floor,
+                trunks: Some(trunks.clone()),
+                seed,
+            };
+            let report = simnet::run_partitioned(&part, |s, w| {
+                build_mirror(w, Some(s));
+            });
+            let merged =
+                simnet::MetricsSnapshot::merge(report.outcomes.iter().map(|o| &o.snapshot));
+            assert_eq!(
+                merged.to_json_excluding(&["sim.executor."]),
+                single.to_json_excluding(&["sim.executor."]),
+                "{threads} thread(s)"
+            );
+            assert_eq!(report.lookahead_violations(), 0);
+            let cross_out: u64 = report.outcomes.iter().map(|o| o.stats.cross_out).sum();
+            let cross_in: u64 = report.outcomes.iter().map(|o| o.stats.cross_in).sum();
+            assert_eq!(
+                cross_out,
+                2 * 2 * MIRROR_REQUESTS,
+                "backbone requests and replies"
+            );
+            assert_eq!(cross_out, cross_in);
+            let violations = simnet::conservation_violations(&merged);
+            assert!(violations.is_empty(), "{violations:?}");
         }
     }
 

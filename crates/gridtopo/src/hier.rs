@@ -1274,7 +1274,7 @@ mod tests {
         };
         let src = grid.site(0).node(1);
         let dst = grid.site(1).node(2);
-        // Walking next_hop hop by hop (what the relay fabric does) must
+        // Walking next_hop hop by hop (what a hop-by-hop forwarder does) must
         // converge on the destination along the composed route.
         let route = hier.route(src, dst).unwrap();
         let mut at = src;

@@ -11,38 +11,36 @@
 //! * [`route`] — multi-hop routes ([`Route`], [`PathInfo`]) behind the
 //!   [`GridRoutes`] enum: the flat all-pairs [`RouteTable`] (Dijkstra
 //!   over per-link costs with deterministic tie-breaking, kept as the
-//!   correctness oracle) and the scalable default,
+//!   correctness oracle) and the scalable default;
 //! * [`hier`] — the two-level [`HierRouteTable`]: per-site tables over
 //!   each site's local subgraph plus a gateway-level backbone table,
 //!   composed lazily per lookup and *cost-equal* to the flat oracle on
-//!   gateway-isolated grids;
-//! * [`gateway`] — [`RelayFabric`], store-and-forward relay agents on
-//!   gateway nodes with per-hop latency, bounded queues and drop /
-//!   backpressure accounting.
+//!   gateway-isolated grids.
 //!
-//! The `padico_core` selector consumes [`GridRoutes`] so that endpoints
-//! sharing no network resolve to a *relayed* link decision instead of
-//! failing.
+//! The gateway relay itself lives in `padico_core` (its `relay` and
+//! `trunk` modules): its proxies and trunks resolve each hop from these
+//! [`GridRoutes`], so endpoints sharing no network resolve to a
+//! *relayed* link decision instead of failing.
 //!
 //! ## Example
 //!
 //! ```
-//! use gridtopo::{GridTopology, RelayConfig, RelayFabric};
+//! use gridtopo::GridTopology;
 //! use simnet::SimWorld;
 //!
 //! let mut world = SimWorld::new(7);
 //! let grid = GridTopology::two_sites(&mut world, 4);
-//! let fabric = RelayFabric::new(grid.routes.clone(), RelayConfig::default());
-//! for node in grid.all_nodes() {
-//!     fabric.attach(&mut world, node);
-//! }
 //! let (src, dst) = (grid.site(0).node(1), grid.site(1).node(2));
-//! fabric.bind(&mut world, dst, 40, |_world, msg| {
-//!     println!("{} bytes relayed from {}", msg.payload.len(), msg.src);
-//! });
-//! fabric.send(&mut world, src, dst, 40, vec![0u8; 1024]).unwrap();
-//! world.run();
-//! assert_eq!(fabric.total_relayed(), 2); // both site gateways forwarded it
+//! // The two workers share no network: the route crosses both gateways.
+//! assert!(world.networks_between(src, dst).is_empty());
+//! let route = grid.routes.route(src, dst).unwrap();
+//! assert_eq!(
+//!     route.relays().collect::<Vec<_>>(),
+//!     vec![grid.site(0).gateway, grid.site(1).gateway]
+//! );
+//! let info = grid.routes.path_info(&world, src, dst).unwrap();
+//! assert_eq!(info.hop_count, 3); // SAN, backbone, SAN
+//! println!("{} one way over {} networks", info.total_latency, info.hop_count);
 //! ```
 
 #![deny(unsafe_code)]
@@ -51,7 +49,6 @@
 
 pub mod builder;
 pub mod churn;
-pub mod gateway;
 pub mod hier;
 pub mod route;
 
@@ -59,9 +56,6 @@ pub use builder::{GridTopology, Site, SiteSpec};
 pub use churn::{
     check_transients, inject_link_churn, replay_churn, ChurnReplay, ChurnSchedule,
     TransientViolation,
-};
-pub use gateway::{
-    BackpressureMode, GatewayStats, RelayConfig, RelayError, RelayFabric, RelayedMessage,
 };
 pub use hier::{BackboneDelta, HierRouteTable, IsolationViolation, ReconvergeStats, SiteLayout};
 pub use route::{link_cost, GridRoutes, Hop, PathInfo, Route, RouteTable};

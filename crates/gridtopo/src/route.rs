@@ -66,7 +66,7 @@ impl Route {
     /// The intermediate relay (gateway) nodes, excluding the endpoints.
     ///
     /// Borrows from the route instead of allocating: routing hot paths
-    /// (the selector, the relay fabric) call this per decision, so it must
+    /// (the selector) call this per decision, so it must
     /// not build a fresh `Vec` each time. Collect only when ownership is
     /// actually needed.
     pub fn relays(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -814,7 +814,7 @@ mod tests {
     /// covers, so bypassing `compute` never changes relay behaviour.
     #[test]
     fn manual_insertion_matches_computed_oracle_on_covered_pairs() {
-        // One gateway bridging two segments: the full-stack ring site.
+        // One gateway bridging two Ethernet segments.
         let mut w = SimWorld::new(3);
         let gw = w.add_node("gw");
         let near = w.add_network(NetworkSpec::ethernet_100());

@@ -57,7 +57,7 @@ pub fn d4_exempt(path: &str) -> bool {
 /// registered pair must be cross-referenced in. A counter family
 /// registered anywhere but never named in one of these is
 /// registered-but-ungated.
-pub const C1_GATE_FILES: &[&str] = &["crates/bench/src/multi_site.rs"];
+pub const C1_GATE_FILES: &[&str] = &["crates/simnet/src/telemetry.rs"];
 
 /// H1 (hygiene) scope for the unwrap/expect density cap: non-test
 /// hot-path library code. Benches, examples, and the vendored stand-ins

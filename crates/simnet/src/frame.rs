@@ -26,12 +26,6 @@ impl ProtoId {
     pub const MADELEINE: ProtoId = ProtoId(3);
     /// VRP (Variable Reliability Protocol) frames.
     pub const VRP: ProtoId = ProtoId(4);
-    /// Encapsulated multi-hop relay frames (gateway store-and-forward,
-    /// see the `gridtopo` crate).
-    pub const RELAY: ProtoId = ProtoId(5);
-    /// Relay credit-return advertisements carried on the wire (the
-    /// inter-site credit plane of the `gridtopo` relay fabric).
-    pub const RELAY_CREDIT: ProtoId = ProtoId(6);
     /// First tag available for user/test protocols.
     pub const USER_BASE: ProtoId = ProtoId(1000);
 

@@ -67,9 +67,9 @@ pub use shard::{
 pub use spec::{HostProfile, NetworkClass, NetworkSpec};
 pub use stats::{NetworkStats, WorldStats};
 pub use telemetry::{
-    CauseId, Counter, DropCause, EventRing, FlightRecorder, Gauge, Histogram, Log2Histogram,
-    MetricValue, MetricsRegistry, MetricsSnapshot, SnapshotBuilder, StreamTransition, TimedEvent,
-    TraceEvent,
+    conservation_violations, CauseId, Counter, EventRing, FlightRecorder, Gauge, Histogram,
+    Log2Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, SnapshotBuilder,
+    StreamTransition, TimedEvent, TraceEvent,
 };
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimerWheel;

@@ -10,7 +10,8 @@
 //! of width = the trunk lookahead; cross-shard frames are exchanged at
 //! window barriers and injected in a canonical `(deliver_at, from, seq)`
 //! order, so a run with N worker threads is byte-identical to the same
-//! run with one. This is what executes the measured 10⁵-node worlds.
+//! run with one. `gridbench`'s `sim_partitioned_ring` workload measures
+//! it.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -76,8 +77,7 @@ pub struct PartitionStats {
 /// This is the per-edge refinement of the single global window: a shard
 /// only needs to wait for its *in-edges*, so one low-latency trunk
 /// elsewhere in the grid no longer throttles every window. Derived from
-/// gateway trunk latencies by
-/// `GridTopology::trunk_lookaheads` on the full stack.
+/// gateway trunk latencies by `GridTopology::trunk_lookaheads`.
 #[derive(Clone, Debug, Default)]
 pub struct TrunkLookahead {
     edges: BTreeMap<(u16, u16), SimDuration>,

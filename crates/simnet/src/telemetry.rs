@@ -7,7 +7,7 @@
 //!
 //! * [`MetricsRegistry`] — counters, gauges and log₂-bucketed histograms
 //!   keyed by a hierarchical dotted name plus sorted labels
-//!   (`relay.gateway.frames_relayed{gw=5}`). Components either register
+//!   (`relay.proxy.bytes_forward{gw=5}`). Components either register
 //!   live instruments once, or register a *collector* closure that mirrors
 //!   an existing stats struct at scrape time. A scrape produces a
 //!   [`MetricsSnapshot`] whose iteration order (and therefore JSON) is
@@ -420,6 +420,91 @@ impl MetricsSnapshot {
     }
 }
 
+/// Cross-checks the conservation laws every quiesced snapshot must
+/// obey, returning one human-readable line per violation (empty ==
+/// healthy):
+///
+/// * per simulated network, frames dropped + unclaimed ≤ frames sent
+///   (a network can only lose what actually entered it);
+/// * events executed + cancelled ≤ events scheduled (an event ends one
+///   way at most — more means `SimWorld::cancel` was handed the id of an
+///   event that had already fired);
+/// * no stream left parked on trunk memory, and no received byte left
+///   unconsumed in trunk receive buffers;
+/// * on a partitioned run, every frame a shard world emitted across the
+///   boundary was injected into another (`sim.executor.cross_out ==
+///   cross_in`; a merged snapshot sums both over the shards).
+pub fn conservation_violations(snap: &MetricsSnapshot) -> Vec<String> {
+    let mut violations = Vec::new();
+
+    // Per-network frame accounting: a network cannot drop or strand more
+    // frames than were ever pushed onto it.
+    let sent_keys: Vec<String> = snap
+        .with_prefix("sim.net.frames_sent{")
+        .map(|(k, _)| k.to_string())
+        .collect();
+    for key in sent_keys {
+        let labels = &key["sim.net.frames_sent".len()..];
+        let sent = snap.counter(&key).unwrap_or(0);
+        let dropped = snap
+            .counter(&format!("sim.net.frames_dropped{labels}"))
+            .unwrap_or(0);
+        let unclaimed = snap
+            .counter(&format!("sim.net.frames_unclaimed{labels}"))
+            .unwrap_or(0);
+        if dropped + unclaimed > sent {
+            violations.push(format!(
+                "frame over-accounting on net {labels}: dropped {dropped} \
+                 + unclaimed {unclaimed} > sent {sent}"
+            ));
+        }
+    }
+
+    // Event accounting: every scheduled event is executed, cancelled or
+    // still pending — never two of those. `SimWorld::cancel` refuses fired
+    // ids, so this holds on every run; the gate keeps it that way.
+    let scheduled = snap.counter("sim.world.events_scheduled").unwrap_or(0);
+    let executed = snap.counter("sim.world.events_executed").unwrap_or(0);
+    let cancelled = snap.counter("sim.world.events_cancelled").unwrap_or(0);
+    if executed + cancelled > scheduled {
+        violations.push(format!(
+            "event over-accounting: executed {executed} + cancelled {cancelled} \
+             > scheduled {scheduled}"
+        ));
+    }
+
+    // Trunk memory fully drained: nothing parked, nothing buffered.
+    for (key, _) in snap.with_prefix("trunk.memory.parked_streams{") {
+        if let Some(parked) = snap.gauge(key) {
+            if parked != 0 {
+                violations.push(format!("{parked} streams left parked at {key}"));
+            }
+        }
+    }
+    for (key, _) in snap.with_prefix("trunk.memory.recv_occupancy{") {
+        if let Some(held) = snap.gauge(key) {
+            if held != 0 {
+                violations.push(format!(
+                    "{held} bytes left in trunk receive buffers at {key}"
+                ));
+            }
+        }
+    }
+
+    // Cross-shard conservation: no frame vanishes or duplicates in transit
+    // between shard worlds.
+    if let Some(cross_out) = snap.counter("sim.executor.cross_out") {
+        let cross_in = snap.counter("sim.executor.cross_in").unwrap_or(0);
+        if cross_out != cross_in {
+            violations.push(format!(
+                "cross-shard frame leak: cross_out {cross_out} != cross_in {cross_in}"
+            ));
+        }
+    }
+
+    violations
+}
+
 /// Concatenates labeled snapshots into one deterministic digest string —
 /// the comparison surface for partitioned executor runs, where each
 /// shard world produces its own snapshot and "bit-for-bit identical"
@@ -560,8 +645,9 @@ impl std::fmt::Debug for MetricsRegistry {
 // Typed event tracing
 // --------------------------------------------------------------------- //
 
-/// Correlates the records of one logical journey (e.g. one relayed frame
-/// across every gateway hop). Allocated from [`EventRing::next_cause`].
+/// Correlates the records of one logical journey (e.g. one relayed
+/// stream's credit stalls and its migration to another gateway).
+/// Allocated from [`EventRing::next_cause`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CauseId(pub u64);
 
@@ -571,22 +657,9 @@ impl std::fmt::Display for CauseId {
     }
 }
 
-/// Why a relayed frame died at a gateway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// Bounded relay queue was full (drop backpressure).
-    QueueFull,
-    /// Hop budget exhausted.
-    Ttl,
-    /// No route towards the destination.
-    NoRoute,
-    /// Injected fault.
-    Fault,
-}
-
 /// One typed, allocation-free trace event. Virtual timestamps live on the
-/// enclosing [`TimedEvent`]; `cause` fields correlate the hops of one
-/// frame's journey.
+/// enclosing [`TimedEvent`]; a relayed stream's events carry its id as
+/// their [`TraceEvent::cause`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A frame was accepted for transmission on a network.
@@ -624,62 +697,18 @@ pub enum TraceEvent {
         /// Protocol nobody claimed.
         proto: ProtoId,
     },
-    /// A relayed frame entered the fabric at its origin.
-    RelayAccepted {
-        /// Origin node.
-        node: NodeId,
-        /// Journey id.
-        cause: CauseId,
-    },
-    /// A gateway store-and-forwarded a relayed frame one hop onward.
-    RelayForwarded {
-        /// Forwarding gateway.
-        gateway: NodeId,
-        /// Journey id.
-        cause: CauseId,
-    },
-    /// A relayed frame parked on an exhausted credit pool.
-    RelayParked {
-        /// Node where the frame waits.
-        node: NodeId,
-        /// Journey id.
-        cause: CauseId,
-    },
-    /// A parked frame resumed after a credit returned.
-    RelayResumed {
-        /// Node that resumed it.
-        node: NodeId,
-        /// Journey id.
-        cause: CauseId,
-    },
-    /// A relayed frame died at a gateway.
-    RelayDropped {
-        /// Gateway that dropped it.
-        gateway: NodeId,
-        /// Journey id.
-        cause: CauseId,
-        /// Why.
-        drop_cause: DropCause,
-    },
-    /// A relayed frame reached its destination node.
-    RelayDelivered {
-        /// Destination node.
-        node: NodeId,
-        /// Journey id.
-        cause: CauseId,
-    },
     /// A relayed stream leg (un)stalled on trunk credits.
     CreditStall {
         /// Gateway-side node of the stalled leg.
         node: NodeId,
-        /// Trunk stream id.
+        /// Stream id (connection id of the failover stream).
         stream: u64,
     },
     /// The stalled stream resumed.
     CreditResume {
         /// Gateway-side node of the leg.
         node: NodeId,
-        /// Trunk stream id.
+        /// Stream id (connection id of the failover stream).
         stream: u64,
     },
     /// A relayed stream migrated off a dead trunk towards a new gateway.
@@ -743,15 +772,15 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The journey id carried by the event, when it has one.
+    /// The journey id carried by the event, when it has one: a relayed
+    /// stream's id, drawn from [`EventRing::next_cause`] when the stream
+    /// is dialed, so [`EventRing::journey`] gathers its stalls, resumes
+    /// and migrations.
     pub fn cause(&self) -> Option<CauseId> {
         match self {
-            TraceEvent::RelayAccepted { cause, .. }
-            | TraceEvent::RelayForwarded { cause, .. }
-            | TraceEvent::RelayParked { cause, .. }
-            | TraceEvent::RelayResumed { cause, .. }
-            | TraceEvent::RelayDropped { cause, .. }
-            | TraceEvent::RelayDelivered { cause, .. } => Some(*cause),
+            TraceEvent::CreditStall { stream, .. }
+            | TraceEvent::CreditResume { stream, .. }
+            | TraceEvent::StreamMigrated { stream, .. } => Some(CauseId(*stream)),
             _ => None,
         }
     }
@@ -1105,36 +1134,51 @@ mod tests {
         let a = ring.next_cause();
         let b = ring.next_cause();
         assert_ne!(a, b);
+        let (gw, spare) = (NodeId(4), NodeId(5));
         ring.record(
             SimTime::from_nanos(1),
-            TraceEvent::RelayAccepted {
-                node: NodeId(0),
-                cause: a,
+            TraceEvent::CreditStall {
+                node: gw,
+                stream: a.0,
             },
         );
         ring.record(
             SimTime::from_nanos(2),
-            TraceEvent::RelayAccepted {
-                node: NodeId(1),
-                cause: b,
+            TraceEvent::CreditStall {
+                node: gw,
+                stream: b.0,
+            },
+        );
+        ring.record(SimTime::from_nanos(3), TraceEvent::GatewayDown { node: gw });
+        ring.record(
+            SimTime::from_nanos(4),
+            TraceEvent::StreamMigrated {
+                stream: a.0,
+                from: gw,
+                to: spare,
             },
         );
         ring.record(
-            SimTime::from_nanos(3),
-            TraceEvent::RelayDelivered {
-                node: NodeId(9),
-                cause: a,
+            SimTime::from_nanos(5),
+            TraceEvent::CreditResume {
+                node: spare,
+                stream: a.0,
             },
         );
         let journey = ring.journey(a);
-        assert_eq!(journey.len(), 2);
+        assert_eq!(journey.len(), 3, "{journey:?}");
         assert!(matches!(
             journey[1].event,
-            TraceEvent::RelayDelivered {
-                node: NodeId(9),
+            TraceEvent::StreamMigrated { to: NodeId(5), .. }
+        ));
+        assert!(matches!(
+            journey[2].event,
+            TraceEvent::CreditResume {
+                node: NodeId(5),
                 ..
             }
         ));
+        assert_eq!(ring.journey(b).len(), 1);
     }
 
     #[test]

@@ -570,14 +570,6 @@ impl SimWorld {
         p.owner_of = owner_of;
     }
 
-    /// The shard owning `node` under the mirror map (`None` when no
-    /// mirror is installed: everything is local).
-    pub fn mirror_owner(&self, node: NodeId) -> Option<u16> {
-        self.partition
-            .as_deref()
-            .and_then(|p| p.owner_of.get(node.index()).copied())
-    }
-
     /// Emits `frame` towards another shard world. Delivery happens at
     /// `now + max(extra_delay, lookahead)` — the lookahead floor is what
     /// keeps conservative window synchronization safe. The frame reaches

@@ -1,16 +1,16 @@
-//! Telemetry tour: scrape the unified metrics snapshot, trace one
-//! relayed frame's journey hop by hop, and read a flight-recorder
-//! timeline after killing a gateway mid-transfer.
+//! Telemetry tour: trace one relayed stream's journey — credit stalls,
+//! resumes and its migration off a killed gateway — read the flight
+//! recorder timelines of the same run, and scrape the unified metrics
+//! snapshot.
 //!
 //! Run with: `cargo run --example telemetry`
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use padicotm::core::VLinkEvent;
-use padicotm::gridtopo::{BackpressureMode, RelayConfig, RelayFabric};
+use padicotm::core::{BackpressureMode, VLinkEvent};
 use padicotm::prelude::*;
-use padicotm::simnet::TraceEvent;
+use padicotm::simnet::{CauseId, TraceEvent};
 
 fn main() {
     let mut world = SimWorld::new(0x7E1E);
@@ -19,8 +19,8 @@ fn main() {
     // switch it on before the traffic we want to reconstruct.
     world.events.enable();
 
-    // A two-site grid: every inter-site frame store-and-forwards through
-    // both site gateways.
+    // A two-site grid with two gateways per site: every inter-site
+    // stream is relayed through one gateway of each site.
     let grid = GridTopology::star(
         &mut world,
         &[
@@ -29,45 +29,6 @@ fn main() {
         ],
         NetworkSpec::vthd_wan(),
     );
-
-    // --- 1. Frame-journey tracing over the relay fabric ------------- //
-    let fabric = RelayFabric::new(
-        grid.routes.clone(),
-        RelayConfig {
-            backpressure: BackpressureMode::Credit,
-            queue_capacity: 16,
-            ..Default::default()
-        },
-    );
-    for node in grid.all_nodes() {
-        fabric.attach(&mut world, node);
-    }
-    let src = grid.site(0).node(2);
-    let dst = grid.site(1).node(2);
-    let delivered = Rc::new(Cell::new(0u64));
-    let d = delivered.clone();
-    fabric.bind(&mut world, dst, 9, move |_w, _m| d.set(d.get() + 1));
-    for _ in 0..3 {
-        fabric
-            .send(&mut world, src, dst, 9, vec![7u8; 900])
-            .unwrap();
-    }
-    world.run();
-
-    let first_cause = world
-        .events
-        .events()
-        .find_map(|e| match e.event {
-            TraceEvent::RelayAccepted { cause, .. } => Some(cause),
-            _ => None,
-        })
-        .expect("traced traffic");
-    println!("[trace] journey of frame {first_cause}:");
-    for hop in world.events.journey(first_cause) {
-        println!("[trace]   {} {:?}", hop.time, hop.event);
-    }
-
-    // --- 2. Flight-recorder forensics on a gateway kill -------------- //
     let prefs = SelectorPreferences {
         relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
@@ -91,10 +52,11 @@ fn main() {
     let client = src_rt.vlink_connect(&mut world, dst_rt.node(), 990);
     client.post_write(&mut world, &payload);
 
-    // Kill the on-route primary gateway once a prefix has crossed.
+    // Kill the receiving site's primary gateway once a prefix has
+    // crossed: the backbone leg migrates to the secondary.
     let gr = got.clone();
     world.run_while(|| gr.borrow().len() < 60_000);
-    let kill_node = grid.site(0).gateways[0];
+    let kill_node = grid.site(1).gateways[0];
     rts.iter()
         .find(|rt| rt.node() == kill_node)
         .unwrap()
@@ -105,6 +67,22 @@ fn main() {
         got.borrow().len(),
         payload.len()
     );
+
+    // --- 1. The migrated stream's journey from the event ring -------- //
+    let migrated = world
+        .events
+        .events()
+        .find_map(|e| match e.event {
+            TraceEvent::StreamMigrated { stream, .. } => Some(CauseId(stream)),
+            _ => None,
+        })
+        .expect("the kill migrates a stream");
+    println!("[trace] journey of stream {migrated}:");
+    for step in world.events.journey(migrated) {
+        println!("[trace]   {} {:?}", step.time, step.event);
+    }
+
+    // --- 2. Flight-recorder forensics of the same run ---------------- //
     for rt in &rts {
         for dump in rt.flight_dumps() {
             println!("[fdr  ] {dump}");
@@ -119,10 +97,8 @@ fn main() {
     );
     for prefix in [
         "sim.world.events_executed",
-        "relay.fabric.frames_delivered",
-        "relay.gateway.credits_returned",
         "relay.proxy.bytes_forward",
-        "trunk.credit.streams_opened",
+        "relay.proxy.connections_relayed",
         "trunk.memory.recv_high_water",
     ] {
         for (key, value) in snap.with_prefix(prefix) {

@@ -6,8 +6,9 @@
 //! * [`simnet`] — the deterministic network simulator standing in for the
 //!   paper's hardware testbed (Myrinet-2000, Ethernet-100, VTHD WAN, lossy
 //!   Internet links);
-//! * [`gridtopo`] — multi-hop routing and gateways for hierarchical,
-//!   multi-site grid topologies (sites behind gateways, WAN backbones);
+//! * [`gridtopo`] — multi-hop routing for hierarchical, multi-site grid
+//!   topologies (sites behind gateways, WAN backbones); the gateways
+//!   relay streams through [`core`]'s proxies and trunks;
 //! * [`transport`] — TCP, UDP, VRP, Parallel Streams, AdOC compression and
 //!   secure streams over the simulated networks;
 //! * [`madeleine`] — the Madeleine-style SAN message library;
@@ -34,8 +35,7 @@ pub use transport;
 /// Commonly used types for applications built on PadicoTM-RS.
 pub mod prelude {
     pub use gridtopo::{
-        GridRoutes, GridTopology, HierRouteTable, RelayConfig, RelayFabric, RouteTable, SiteLayout,
-        SiteSpec,
+        GridRoutes, GridTopology, HierRouteTable, RouteTable, SiteLayout, SiteSpec,
     };
     pub use madeleine::{RecvMode, SendMode};
     pub use middleware::{IdlValue, MpiComm, Orb, OrbImpl, SoapCall, SoapEndpoint};

@@ -1,11 +1,10 @@
 //! Facade-level integration test of the multi-site grid subsystem: route
-//! determinism, gateway relay accounting, and middleware running
-//! transparently across gateway-isolated sites.
+//! determinism and middleware running transparently across
+//! gateway-isolated sites.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use padicotm::gridtopo::{RelayConfig, RelayFabric};
 use padicotm::middleware::{IdlValue, Orb, OrbImpl};
 use padicotm::prelude::*;
 
@@ -24,39 +23,6 @@ fn routes_are_identical_for_identical_builds() {
     // still yields the same routes for the same build sequence.
     let (_w3, g3) = two_site_grid(12);
     assert_eq!(g1.routes, g3.routes);
-}
-
-#[test]
-fn gateway_relay_accounting_balances() {
-    let (mut world, grid) = two_site_grid(21);
-    let fabric = RelayFabric::new(grid.routes.clone(), RelayConfig::default());
-    for node in grid.all_nodes() {
-        fabric.attach(&mut world, node);
-    }
-    let src = grid.site(0).node(1);
-    let dst = grid.site(1).node(1);
-    let got = Rc::new(Cell::new(0u64));
-    let g = got.clone();
-    fabric.bind(&mut world, dst, 4, move |_w, _m| g.set(g.get() + 1));
-    let sent = 40u64;
-    for _ in 0..sent {
-        fabric
-            .send(&mut world, src, dst, 4, vec![1u8; 512])
-            .unwrap();
-    }
-    world.run();
-    let gw_a = fabric.gateway_stats(grid.site(0).gateway);
-    let gw_b = fabric.gateway_stats(grid.site(1).gateway);
-    // Conservation: everything site A's gateway forwarded either reached
-    // site B's gateway (then the endpoint) or was dropped on the backbone.
-    assert_eq!(gw_a.frames_relayed + gw_a.frames_dropped(), sent);
-    assert_eq!(got.get(), fabric.delivered_frames());
-    assert_eq!(
-        gw_b.frames_relayed,
-        fabric.delivered_frames(),
-        "site B's gateway forwards exactly what the endpoint received"
-    );
-    assert_eq!(gw_a.bytes_relayed, gw_a.frames_relayed * 512);
 }
 
 #[test]

@@ -1,143 +1,195 @@
 //! The unified telemetry layer, observed from outside: conservation
 //! invariants checked through [`MetricsSnapshot`] alone (no reaching into
-//! component stats structs), frame journeys reconstructed from the typed
-//! event ring, flight-recorder forensics after a gateway kill, and the
-//! bit-exact determinism of the scraped JSON across identical seeded
-//! runs.
+//! component stats structs), relayed-stream journeys reconstructed from
+//! the typed event ring, flight-recorder forensics after a gateway kill,
+//! and the bit-exact determinism of the scraped JSON across identical
+//! seeded runs.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use padico_bench::conservation_violations;
-use padicotm::core::VLinkEvent;
-use padicotm::gridtopo::{BackpressureMode, RelayConfig, RelayFabric};
+use padicotm::core::{BackpressureMode, VLinkEvent};
 use padicotm::prelude::*;
-use padicotm::simnet::{CauseId, DropCause, MetricsSnapshot, TraceEvent};
+use padicotm::simnet::{conservation_violations, CauseId, MetricsSnapshot, TraceEvent};
 
-/// Builds a two-site relay fabric, pushes `sent` frames across the
-/// gateways (with an optional seeded fault injector), and returns the
-/// drained world plus the delivered count.
-fn relay_scenario(seed: u64, fault_rate: f64, trace: bool) -> (SimWorld, u64, u64) {
+/// Relayed streams in [`relay_scenario`].
+const STREAMS: usize = 2;
+/// Payload of each stream: more than the 256 KiB trunk window, so the
+/// backbone legs stall on credit.
+const PAYLOAD: usize = 300_000;
+/// Greeting the receiver writes back on every accepted connection.
+const GREETING: &[u8] = b"ready";
+
+/// What the endpoints of [`relay_scenario`] observed.
+struct Observed {
+    /// Payload bytes the receiver read, over every connection.
+    delivered: u64,
+    /// Greeting bytes the senders read back.
+    greeted: u64,
+    /// Connections the receiver accepted.
+    accepted: u64,
+}
+
+/// A two-site grid with two gateways per site, credit backpressure and
+/// gateway failover: [`STREAMS`] relayed VLinks carry [`PAYLOAD`] bytes
+/// each to one receiver, which greets every connection it accepts. With
+/// `kill`, the receiving site's primary gateway dies once 60 kB have
+/// arrived, and the backbone legs migrate to its secondary. Returns the
+/// drained world and what the endpoints observed.
+fn relay_scenario(seed: u64, kill: bool, trace: bool) -> (SimWorld, Observed) {
     let mut world = SimWorld::new(seed);
     if trace {
         world.events.enable();
     }
-    let grid = GridTopology::two_sites(&mut world, 3);
-    let fabric = RelayFabric::new(
-        grid.routes.clone(),
-        RelayConfig {
-            backpressure: BackpressureMode::Credit,
-            queue_capacity: 16,
-            ..Default::default()
-        },
+    let grid = GridTopology::star(
+        &mut world,
+        &[
+            SiteSpec::san_cluster("a", 2 + STREAMS).with_gateways(2),
+            SiteSpec::san_cluster("b", 3).with_gateways(2),
+        ],
+        NetworkSpec::vthd_wan(),
     );
-    for node in grid.all_nodes() {
-        fabric.attach(&mut world, node);
+    let prefs = SelectorPreferences {
+        relay_backpressure: BackpressureMode::Credit,
+        gateway_failover: true,
+        ..Default::default()
+    };
+    let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, prefs);
+    let runtime_of = |node| rts.iter().find(|rt| rt.node() == node).unwrap().clone();
+    let dst_rt = runtime_of(grid.site(1).node(2));
+
+    let (delivered, accepted) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(0u64)));
+    let (d, a) = (delivered.clone(), accepted.clone());
+    dst_rt.vlink_listen(&mut world, 960, move |world, v| {
+        a.set(a.get() + 1);
+        v.post_write(world, GREETING);
+        let (v2, d2) = (v.clone(), d.clone());
+        v.set_handler(move |world, ev| {
+            if ev == VLinkEvent::Readable {
+                d2.set(d2.get() + v2.read_now(world, usize::MAX).len() as u64);
+            }
+        });
+    });
+    let greeted = Rc::new(Cell::new(0u64));
+    for s in 0..STREAMS {
+        let client =
+            runtime_of(grid.site(0).node(2 + s)).vlink_connect(&mut world, dst_rt.node(), 960);
+        let (c2, g) = (client.clone(), greeted.clone());
+        client.set_handler(move |world, ev| {
+            if ev == VLinkEvent::Readable {
+                g.set(g.get() + c2.read_now(world, usize::MAX).len() as u64);
+            }
+        });
+        client.post_write(&mut world, &vec![s as u8; PAYLOAD]);
     }
-    if fault_rate > 0.0 {
-        fabric.inject_gateway_faults(fault_rate, 0xFEED);
-    }
-    let src = grid.site(0).node(1);
-    let dst = grid.site(1).node(1);
-    let delivered = Rc::new(Cell::new(0u64));
-    let d = delivered.clone();
-    fabric.bind(&mut world, dst, 3, move |_w, _m| d.set(d.get() + 1));
-    let sent = 40u64;
-    for _ in 0..sent {
-        fabric
-            .send(&mut world, src, dst, 3, vec![9u8; 700])
-            .unwrap();
+    if kill {
+        let d = delivered.clone();
+        world.run_while(|| d.get() < 60_000);
+        runtime_of(grid.site(1).gateways[0]).kill(&mut world);
     }
     world.run();
-    (world, sent, delivered.get())
+    let observed = Observed {
+        delivered: delivered.get(),
+        greeted: greeted.get(),
+        accepted: accepted.get(),
+    };
+    (world, observed)
 }
 
-/// Every relay/credit conservation law must hold on the scraped snapshot
-/// alone — the same checks every golden snapshot must pass — both on a clean
-/// run and under seeded gateway faults (faults drop frames but may not
-/// leak credits or park anything forever).
+/// Every conservation law holds on the scraped snapshot alone — the same
+/// checks every golden snapshot must pass — with and without a gateway
+/// kill. Without one, the proxies' `relay.proxy.*` accounting matches
+/// what the endpoints observed exactly: each of the two gateways on the
+/// route spliced every connection once and forwarded every payload byte
+/// one way and every greeting byte the other, and refused nothing.
 #[test]
 fn snapshot_conservation_holds_with_and_without_faults() {
-    for fault_rate in [0.0, 0.35] {
-        let (world, sent, delivered) = relay_scenario(21, fault_rate, false);
+    for kill in [false, true] {
+        let (world, seen) = relay_scenario(21, kill, false);
         let snap = world.metrics_snapshot();
         let violations = conservation_violations(&snap);
         assert!(
             violations.is_empty(),
-            "conservation violated (fault_rate {fault_rate}): {violations:?}"
+            "conservation violated (kill {kill}): {violations:?}"
         );
-        // The snapshot's own accounting matches ground truth observed at
-        // the endpoints.
-        assert_eq!(snap.counter_total("relay.fabric.frames_sent"), sent);
-        assert_eq!(
-            snap.counter_total("relay.fabric.frames_delivered"),
-            delivered
-        );
-        if fault_rate > 0.0 {
-            assert!(
-                snap.counter_total("relay.gateway.frames_dropped_fault") > 0,
-                "the injector must be visible in the snapshot"
-            );
-            assert!(delivered < sent);
-        } else {
-            assert_eq!(delivered, sent);
+        assert_eq!(seen.delivered, (STREAMS * PAYLOAD) as u64, "kill {kill}");
+        if kill {
+            assert!(seen.accepted > STREAMS as u64, "the kill forced re-dials");
+            continue;
         }
+        const GATEWAYS_ON_ROUTE: u64 = 2;
+        assert_eq!(seen.accepted, STREAMS as u64);
+        assert_eq!(seen.greeted, seen.accepted * GREETING.len() as u64);
+        assert_eq!(
+            snap.counter_total("relay.proxy.connections_relayed"),
+            GATEWAYS_ON_ROUTE * seen.accepted
+        );
+        assert_eq!(
+            snap.counter_total("relay.proxy.bytes_forward"),
+            GATEWAYS_ON_ROUTE * seen.delivered
+        );
+        assert_eq!(
+            snap.counter_total("relay.proxy.bytes_backward"),
+            GATEWAYS_ON_ROUTE * seen.greeted
+        );
+        assert_eq!(snap.counter_total("relay.proxy.bytes_refused"), 0);
+        assert_eq!(snap.counter_total("relay.proxy.connections_refused"), 0);
     }
 }
 
-/// A relayed frame's whole journey — origin, both gateway hops, final
-/// delivery (or a typed drop) — reconstructs from the event ring by
-/// cause id, in causal (virtual-time) order.
+/// A relayed stream's journey — its credit stalls and resumes and its
+/// migration off a killed gateway — reconstructs from the event ring by
+/// its stream id, in virtual-time order.
 #[test]
-fn frame_journeys_reconstruct_from_the_event_ring() {
-    let (world, sent, _delivered) = relay_scenario(11, 0.35, true);
-    let causes: Vec<CauseId> = world
+fn stream_journeys_reconstruct_from_the_event_ring() {
+    let (world, _) = relay_scenario(11, true, true);
+    let migrated: Vec<CauseId> = world
         .events
         .events()
         .filter_map(|e| match e.event {
-            TraceEvent::RelayAccepted { cause, .. } => Some(cause),
+            TraceEvent::StreamMigrated { stream, .. } => Some(CauseId(stream)),
             _ => None,
         })
         .collect();
-    assert_eq!(causes.len() as u64, sent, "one journey per accepted frame");
+    assert!(!migrated.is_empty(), "the kill must migrate a stream");
 
-    let (mut delivered_journeys, mut dropped_journeys) = (0u64, 0u64);
-    for cause in causes {
+    let mut stalled_journeys = 0;
+    for cause in migrated {
         let journey = world.events.journey(cause);
-        assert!(
-            matches!(
-                journey.first().map(|e| e.event),
-                Some(TraceEvent::RelayAccepted { .. })
-            ),
-            "a journey starts at its origin: {journey:?}"
-        );
         for pair in journey.windows(2) {
             assert!(pair[0].time <= pair[1].time, "causal order: {journey:?}");
         }
-        match journey.last().map(|e| e.event) {
-            Some(TraceEvent::RelayDelivered { .. }) => {
-                // A delivered frame crossed both gateways of the route.
-                let hops = journey
-                    .iter()
-                    .filter(|e| matches!(e.event, TraceEvent::RelayForwarded { .. }))
-                    .count();
-                assert_eq!(hops, 2, "two gateway hops on the two-site route");
-                delivered_journeys += 1;
+        let migrations = journey
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::StreamMigrated { .. }))
+            .count();
+        assert_eq!(migrations, 1, "one kill, one migration: {journey:?}");
+        // Within each incarnation (between migrations) the stream's
+        // stalls and resumes alternate, starting with a stall.
+        for incarnation in journey.split(|e| matches!(e.event, TraceEvent::StreamMigrated { .. })) {
+            for (i, e) in incarnation.iter().enumerate() {
+                match e.event {
+                    TraceEvent::CreditStall { .. } => assert!(i % 2 == 0, "{journey:?}"),
+                    TraceEvent::CreditResume { .. } => assert!(i % 2 == 1, "{journey:?}"),
+                    other => panic!("unexpected event in a stream journey: {other:?}"),
+                }
             }
-            Some(TraceEvent::RelayDropped { drop_cause, .. }) => {
-                assert_eq!(drop_cause, DropCause::Fault, "only faults drop here");
-                dropped_journeys += 1;
-            }
-            other => panic!("a journey ends delivered or dropped, got {other:?}"),
+        }
+        if journey
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::CreditStall { .. }))
+        {
+            stalled_journeys += 1;
         }
     }
-    assert!(delivered_journeys > 0);
-    assert!(dropped_journeys > 0, "the 35% injector must show journeys");
-    assert_eq!(delivered_journeys + dropped_journeys, sent);
+    assert!(
+        stalled_journeys > 0,
+        "a migrated backbone leg must have stalled on credit"
+    );
 
     // Tracing stays strictly opt-in: the same scenario without enable()
     // records nothing.
-    let (quiet, _, _) = relay_scenario(11, 0.35, false);
+    let (quiet, _) = relay_scenario(11, true, false);
     assert!(quiet.events.is_empty(), "disabled ring must stay empty");
     assert_eq!(quiet.events.dropped(), 0);
 }
@@ -148,13 +200,13 @@ fn frame_journeys_reconstruct_from_the_event_ring() {
 #[test]
 fn snapshot_json_is_bit_identical_across_identical_seeded_runs() {
     let json = |seed| {
-        let (world, _, _) = relay_scenario(seed, 0.35, false);
+        let (world, _) = relay_scenario(seed, true, false);
         world.metrics_snapshot().to_json()
     };
     assert_eq!(json(77), json(77), "same seed, same bytes");
     let keys = |s: &MetricsSnapshot| s.iter().map(|(k, _)| k.to_string()).collect::<Vec<_>>();
-    let (world_a, _, _) = relay_scenario(77, 0.35, false);
-    let (world_b, _, _) = relay_scenario(78, 0.35, false);
+    let (world_a, _) = relay_scenario(77, true, false);
+    let (world_b, _) = relay_scenario(78, true, false);
     assert_eq!(
         keys(&world_a.metrics_snapshot()),
         keys(&world_b.metrics_snapshot()),
