@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use gridtopo::{check_transients, inject_link_churn, GridTopology, SiteSpec};
 use padico_core::{
-    admit_site_live, apply_backbone_delta, drain_site_live, runtimes_for_grid, BackpressureMode,
-    PadicoRuntime, SelectorPreferences, VLink, VLinkEvent,
+    admit_site_live, apply_backbone_delta, drain_site_live, runtimes_for_grid, PadicoRuntime,
+    SelectorPreferences, VLink, VLinkEvent,
 };
 use simnet::{conservation_violations, MetricsSnapshot, NetworkSpec, NodeId, SimWorld};
 
@@ -154,8 +154,6 @@ pub fn multi_site_run(
 pub struct IncastResult {
     /// Number of senders fanning into the gateway pair.
     pub senders: usize,
-    /// Relay backpressure mode swept ("drop" / "credit").
-    pub mode: BackpressureMode,
     /// Payload bytes each sender writes.
     pub bytes_per_sender: usize,
     /// Payload bytes the receiver read, over every stream.
@@ -163,7 +161,7 @@ pub struct IncastResult {
     /// Virtual time from the first write to the last byte delivered.
     pub elapsed_ms: f64,
     /// Most streams parked at once on the sending gateway's trunk (out
-    /// of window): 0 in drop mode, which has no windows.
+    /// of window).
     pub parked_streams_peak: usize,
     /// The receiving gateway's `trunk.memory.max_stream_high_water`: the
     /// peak receive-buffer occupancy of any one trunk stream there.
@@ -171,28 +169,23 @@ pub struct IncastResult {
 }
 
 /// Payload each incast sender writes: more than the 256 KiB trunk stream
-/// window, so a credit-mode sender must wait for credit before it has
+/// window, so a sender must wait for credit before it has
 /// written everything.
 pub const INCAST_STREAM_BYTES: usize = 320 * 1024;
 
 /// Runs one incast measurement: `senders` nodes of one site each open a
 /// relayed VLink to a single receiver behind the far gateway and write
-/// `bytes_per_sender` bytes. In `credit` mode every trunk stream runs a
-/// credit window; in `drop` mode none does.
-pub fn incast_run(senders: usize, bytes_per_sender: usize, mode: BackpressureMode) -> IncastResult {
-    incast_case(senders, bytes_per_sender, mode, 4242).0
+/// `bytes_per_sender` bytes under the default preferences, so every trunk
+/// stream runs a credit window.
+pub fn incast_run(senders: usize, bytes_per_sender: usize) -> IncastResult {
+    incast_case(senders, bytes_per_sender, 4242).0
 }
 
 /// The telemetry snapshot of one quiesced incast run under the given
 /// seed — the byte-identity surface for this scenario (same seed ⇒
 /// byte-identical JSON, before and after any refactor underneath).
-pub fn incast_snapshot(
-    senders: usize,
-    bytes_per_sender: usize,
-    mode: BackpressureMode,
-    seed: u64,
-) -> MetricsSnapshot {
-    incast_case(senders, bytes_per_sender, mode, seed).1
+pub fn incast_snapshot(senders: usize, bytes_per_sender: usize, seed: u64) -> MetricsSnapshot {
+    incast_case(senders, bytes_per_sender, seed).1
 }
 
 /// [`incast_run`] parameterized by world seed; also scrapes the metrics
@@ -200,7 +193,6 @@ pub fn incast_snapshot(
 fn incast_case(
     senders: usize,
     bytes_per_sender: usize,
-    mode: BackpressureMode,
     seed: u64,
 ) -> (IncastResult, MetricsSnapshot) {
     assert!(senders >= 1 && bytes_per_sender >= 1);
@@ -213,11 +205,7 @@ fn incast_case(
         ],
         NetworkSpec::vthd_wan(),
     );
-    let prefs = SelectorPreferences {
-        relay_backpressure: mode,
-        ..Default::default()
-    };
-    let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, prefs);
+    let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
     // Let the gateway trunks finish their handshakes and warm-up before
     // the measured writes start.
     world.run();
@@ -274,7 +262,6 @@ fn incast_case(
         .unwrap_or(0);
     let result = IncastResult {
         senders,
-        mode,
         bytes_per_sender,
         bytes_delivered: delivered.get(),
         elapsed_ms: last_at.get().since(start).as_millis_f64(),
@@ -284,15 +271,12 @@ fn incast_case(
     (result, snap)
 }
 
-/// The incast sweep: sender fan-in × backpressure mode.
+/// The incast sweep over sender fan-in.
 pub fn incast_sweep() -> Vec<IncastResult> {
-    let mut out = Vec::new();
-    for senders in [2usize, 4, 8] {
-        for mode in [BackpressureMode::Drop, BackpressureMode::Credit] {
-            out.push(incast_run(senders, INCAST_STREAM_BYTES, mode));
-        }
-    }
-    out
+    [2usize, 4, 8]
+        .into_iter()
+        .map(|senders| incast_run(senders, INCAST_STREAM_BYTES))
+        .collect()
 }
 
 // --------------------------------------------------------------------- //
@@ -349,8 +333,8 @@ struct FailoverCaseOut {
 
 /// One failover measurement at the given fan-in. Builds a 2-region
 /// cluster-of-clusters whose receiving site has two ranked gateways,
-/// starts `senders` relayed streams (credit backpressure + the
-/// `gateway_failover` preference), and — unless `baseline` — fail-stops
+/// starts `senders` relayed streams (with the `gateway_failover`
+/// preference), and — unless `baseline` — fail-stops
 /// the destination-side primary gateway once a third of the bytes have
 /// arrived. Returns exact-delivery verdicts and the recovery latency.
 ///
@@ -394,7 +378,6 @@ fn failover_case_seeded(
         NetworkSpec::vthd_wan(),
     );
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };
@@ -710,7 +693,6 @@ fn churn_case(sites: usize, flaps: usize, seed: u64) -> (ChurnResult, MetricsSna
         .collect();
     let mut grid = GridTopology::ring(&mut world, &specs, NetworkSpec::vthd_wan());
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };
@@ -838,12 +820,11 @@ pub fn multi_site_json(
     for (i, r) in incast.iter().enumerate() {
         s.push_str(&format!(
             concat!(
-                "    {{\"senders\": {}, \"mode\": \"{}\", \"bytes_per_sender\": {}, ",
+                "    {{\"senders\": {}, \"bytes_per_sender\": {}, ",
                 "\"bytes_delivered\": {}, \"elapsed_ms\": {:.4}, ",
                 "\"parked_streams_peak\": {}, \"gateway_stream_high_water\": {}}}{}\n"
             ),
             r.senders,
-            r.mode.label(),
             r.bytes_per_sender,
             r.bytes_delivered,
             r.elapsed_ms,
@@ -1048,19 +1029,15 @@ mod tests {
     fn incast_delivers_exactly_and_credit_bounds_the_stream_window() {
         const WINDOW: usize = 256 * 1024;
         for senders in [2usize, 4] {
-            let drop = incast_run(senders, INCAST_STREAM_BYTES, BackpressureMode::Drop);
-            let credit = incast_run(senders, INCAST_STREAM_BYTES, BackpressureMode::Credit);
-            let total = senders * INCAST_STREAM_BYTES;
-            // Both modes deliver every byte: trunks never drop.
-            assert_eq!(drop.bytes_delivered, total, "{drop:?}");
-            assert_eq!(credit.bytes_delivered, total, "{credit:?}");
-            // Credit mode parks streams at the entry gateway and keeps
-            // every stream's buffer at the exit gateway within its window.
-            assert!(credit.parked_streams_peak > 0, "{credit:?}");
-            assert!(credit.gateway_stream_high_water > 0, "{credit:?}");
-            assert!(credit.gateway_stream_high_water <= WINDOW, "{credit:?}");
-            // Drop mode has no window to park on.
-            assert_eq!(drop.parked_streams_peak, 0, "{drop:?}");
+            let r = incast_run(senders, INCAST_STREAM_BYTES);
+            // Every byte arrives: trunks never drop.
+            assert_eq!(r.bytes_delivered, senders * INCAST_STREAM_BYTES, "{r:?}");
+            // The default preferences window every trunk stream: streams
+            // park at the entry gateway, and every stream's buffer at the
+            // exit gateway stays within its window.
+            assert!(r.parked_streams_peak > 0, "{r:?}");
+            assert!(r.gateway_stream_high_water > 0, "{r:?}");
+            assert!(r.gateway_stream_high_water <= WINDOW, "{r:?}");
         }
     }
 }

@@ -191,8 +191,8 @@ pub fn admit_site_live(
 /// Gracefully drains site `index` out of a running grid: in-flight
 /// streams quiesce (the world runs dry first), every trunk touching the
 /// site flushes its consumed-credit batches while the carriers still
-/// deliver — so in credit mode the conservation ledgers balance exactly
-/// through the drain — then retires, the routes reconverge via a
+/// deliver — so the conservation ledgers balance exactly through the
+/// drain — then retires, the routes reconverge via a
 /// `SiteLeave` delta and the survivors get the reconverged table. The
 /// departing runtimes stay alive (their owner may still inspect them)
 /// but hold no trunks and receive no routes.

@@ -27,7 +27,7 @@ use transport::{
 };
 
 use crate::runtime::PadicoRuntime;
-use crate::selector::{BackpressureMode, SelectorPreferences};
+use crate::selector::SelectorPreferences;
 use crate::trunk::{TrunkFlowConfig, TrunkMux, TrunkStream};
 use crate::vlink::{VLink, VLinkEvent};
 
@@ -87,16 +87,14 @@ const SPLICE_HIGH_WATER: u64 = 1024 * 1024;
 /// Poll interval of a paused splice.
 const SPLICE_RETRY: SimDuration = SimDuration::from_micros(200);
 
-/// The trunk flow-control configuration implied by the user preferences:
-/// credit windows when `relay_backpressure` is `Credit`, none otherwise.
-/// Both trunk ends derive it from the same preference, so they agree.
-pub(crate) fn trunk_flow(prefs: &SelectorPreferences) -> Option<TrunkFlowConfig> {
-    match prefs.relay_backpressure {
-        BackpressureMode::Credit => Some(TrunkFlowConfig {
-            trunk_budget: prefs.gateway_trunk_budget,
-            ..Default::default()
-        }),
-        BackpressureMode::Drop => None,
+/// The trunk credit-window configuration implied by the user
+/// preferences: default windows under the `gateway_trunk_budget` shared
+/// budget. Both trunk ends derive it from the same preferences, so they
+/// agree.
+pub(crate) fn trunk_flow(prefs: &SelectorPreferences) -> TrunkFlowConfig {
+    TrunkFlowConfig {
+        trunk_budget: prefs.gateway_trunk_budget,
+        ..Default::default()
     }
 }
 
@@ -227,11 +225,6 @@ struct FoInner {
     service: u16,
     flags: u8,
     ttl: u8,
-    /// Credit mode: acknowledged == consumed by the far splice, so resume
-    /// offsets are exact. Without flow control there is no honest ack —
-    /// migration re-dials but bytes in flight at the kill are lost
-    /// (accounted), matching drop-mode philosophy.
-    flow: bool,
     /// The trunk stream currently carrying this connection.
     current: TrunkStream,
     /// App-byte offset (excluding the proxy header) where the current
@@ -239,7 +232,8 @@ struct FoInner {
     resume_base: u64,
     /// Refcounted copies of sent-but-unacknowledged app bytes,
     /// `[retx_base, sent)`; trimmed as credits come back, resent on
-    /// migration. Empty in non-flow mode.
+    /// migration. Acknowledged means consumed by the far splice, so
+    /// resume offsets are exact.
     retx: SegBuf,
     retx_base: u64,
     /// App bytes accepted from the layer above.
@@ -268,9 +262,9 @@ struct FoInner {
 /// byte, and carries on. The handle (and the VLink riding it) never
 /// changes.
 ///
-/// In credit mode the far gateway's fail-stop sequence flushes its
-/// consumed-credit batches before the carrier closes, so "acknowledged"
-/// equals "consumed and forwarded by the splice": the resend resumes at
+/// The far gateway's fail-stop sequence flushes its consumed-credit
+/// batches before the carrier closes, so "acknowledged" equals "consumed
+/// and forwarded by the splice": the resend resumes at
 /// exactly the first byte the old path did not deliver — zero
 /// acknowledged bytes lost, zero duplicated.
 #[derive(Clone)]
@@ -294,7 +288,6 @@ impl FailoverStream {
     ) -> FailoverStream {
         let mux = rt.ensure_trunk(world, network, via);
         let stream = mux.open();
-        let flow = trunk_flow(&rt.preferences()).is_some();
         let stream_id = world.events.next_cause().0;
         let recorder = Rc::new(RefCell::new(FlightRecorder::new(format!(
             "stream#{stream_id} {src}->{dst}:{service}",
@@ -311,7 +304,6 @@ impl FailoverStream {
                 service,
                 flags,
                 ttl,
-                flow,
                 current: stream.clone(),
                 resume_base: 0,
                 retx: SegBuf::new(),
@@ -392,9 +384,6 @@ impl FailoverStream {
     /// (consumed-and-credited), including across migrations.
     fn trim(&self) {
         let mut inner = self.inner.borrow_mut();
-        if !inner.flow {
-            return;
-        }
         let credits = inner.current.credit_stats().credits_received;
         let acked =
             (inner.resume_base + credits.saturating_sub(PROXY_HEADER_BYTES as u64)).min(inner.sent);
@@ -459,10 +448,9 @@ impl FailoverStream {
                 Action::Fail
             } else if inner.self_closed && inner.retx.is_empty() {
                 // The stream was closed and nothing unacknowledged
-                // remains to replay (in non-flow mode `retx` is always
-                // empty — drop-mode philosophy accepts the in-flight
-                // loss): the stream ended with the old path; re-dialing
-                // would only deliver a ghost zero-byte connection.
+                // remains to replay: the stream ended with the old path;
+                // re-dialing would only deliver a ghost zero-byte
+                // connection.
                 Action::Done
             } else if inner.migrations >= MAX_MIGRATIONS {
                 inner.failed = true;
@@ -561,9 +549,7 @@ impl ByteStream for FailoverStream {
                 return 0;
             }
             inner.sent += data.len() as u64;
-            if inner.flow {
-                inner.retx.push_bytes(data.clone());
-            }
+            inner.retx.push_bytes(data.clone());
             inner.current.clone()
         };
         let n = stream.send_bytes(world, data);
@@ -639,12 +625,7 @@ impl ByteStream for FailoverStream {
     }
 
     fn bytes_acked(&self) -> u64 {
-        let inner = self.inner.borrow();
-        if inner.flow {
-            inner.retx_base
-        } else {
-            inner.current.bytes_acked()
-        }
+        self.inner.borrow().retx_base
     }
 
     fn bytes_unacked(&self) -> u64 {
@@ -763,9 +744,9 @@ pub fn establish_gateway_trunks(world: &mut SimWorld, rt: &PadicoRuntime, peers:
 /// header, open the onward leg, then store-and-forward in both directions.
 ///
 /// The forward pump is *occupancy-aware*: while the onward driver's
-/// backlog (unacknowledged bytes plus anything a flow-controlled trunk has
-/// parked for want of credits) exceeds [`SPLICE_HIGH_WATER`], the pump
-/// leaves arriving data on the incoming leg and polls instead of buffering
+/// backlog (unacknowledged bytes plus anything a trunk has parked for
+/// want of credits) exceeds [`SPLICE_HIGH_WATER`], the pump leaves
+/// arriving data on the incoming leg and polls instead of buffering
 /// without bound — backpressure from a congested downstream leg reaches
 /// back through the gateway rather than turning into gateway memory.
 fn splice_incoming(

@@ -386,8 +386,8 @@ impl PadicoRuntime {
     /// more: its splices stop pulling, its trunk carriers are severed and
     /// incoming connections are refused. Everything it had *already*
     /// consumed keeps draining in an orderly way, and each trunk's
-    /// consumed-credit batches are flushed first — so in credit mode a
-    /// peer's "acknowledged" ledger matches exactly what this gateway
+    /// consumed-credit batches are flushed first — so a peer's
+    /// "acknowledged" ledger matches exactly what this gateway
     /// forwarded before dying, which is what makes failover resume
     /// byte-exact. Idempotent.
     pub fn kill(&self, world: &mut SimWorld) {
@@ -450,8 +450,8 @@ impl PadicoRuntime {
     /// Gracefully retires the outgoing trunks towards the given peers —
     /// the drain-side counterpart of [`PadicoRuntime::drop_trunks`]: each
     /// trunk's consumed-but-unreturned credit batches are flushed while
-    /// the carrier still delivers (so in credit mode the peer's ledger
-    /// balances exactly), then the carrier closes and the entry is
+    /// the carrier still delivers (so the peer's ledger balances
+    /// exactly), then the carrier closes and the entry is
     /// forgotten. Peers not in the list are untouched. Returns how many
     /// trunks were retired.
     pub fn retire_trunks_to(&self, world: &mut SimWorld, peers: &[NodeId]) -> usize {
@@ -1307,15 +1307,11 @@ mod tests {
 
     #[test]
     fn relayed_vlink_works_with_credit_backpressure() {
-        // Same relayed exchange as above, but with relay_backpressure =
-        // Credit: both trunk ends window every multiplexed stream.
+        // A relayed transfer larger than the trunk window: both trunk ends
+        // window every multiplexed stream, so credits must cycle.
         let mut world = SimWorld::new(74);
         let grid = gridtopo::GridTopology::two_sites(&mut world, 3);
-        let prefs = SelectorPreferences {
-            relay_backpressure: crate::selector::BackpressureMode::Credit,
-            ..Default::default()
-        };
-        let (rts, proxies) = runtimes_for_grid(&mut world, &grid, prefs);
+        let (rts, proxies) = runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
         let dst = grid.site(1).node(2);
         let dst_rt = rts[grid.site(0).len() + 2].clone();
         let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
@@ -1396,11 +1392,7 @@ mod tests {
             .map(|i| gridtopo::SiteSpec::san_cluster(format!("s{i}"), 3))
             .collect();
         let grid = GridTopology::star(&mut world, &specs, simnet::NetworkSpec::vthd_wan());
-        let prefs = SelectorPreferences {
-            relay_backpressure: crate::selector::BackpressureMode::Credit,
-            ..Default::default()
-        };
-        let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, prefs);
+        let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
         type Probes = Vec<(
             std::rc::Weak<dyn std::any::Any>,
             std::rc::Weak<dyn ByteStream>,

@@ -20,36 +20,21 @@ use std::rc::Rc;
 use gridtopo::{GridRoutes, Route};
 use simnet::{NetworkClass, NetworkId, NodeId, SimWorld};
 
-/// How a relayed stream's gateway trunk resolves congestion.
+/// How a relayed stream's gateway trunk resolves congestion: always with
+/// per-stream credit windows (`relay::trunk_flow`). A sender parks once it
+/// has used its credit and resumes when the receiving gateway consumes
+/// bytes and returns credit, so a gateway's memory per stream stays
+/// bounded by the window.
 ///
-/// Gateways relay VLink and Circuit streams over multiplexed trunks
-/// (`relay` and `trunk` modules); this mode picks the trunk streams' flow
-/// control. Both ends of a trunk derive it from the same preference, so
-/// it must be set uniformly across a grid.
+/// This type and [`SelectorPreferences::relay_backpressure`] choose
+/// nothing: they exist only because the benchmark definition
+/// (`benchmark/src/workloads/wan.rs`) names them, and go once it stops
+/// doing so.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackpressureMode {
-    /// No trunk flow control and no replay buffer: a trunk stream sends
-    /// as fast as its carrier accepts, and the receiving gateway buffers
-    /// whatever arrives until the onward leg drains it. Congestion never
-    /// drops a byte; a dead carrier loses what it had in flight, because
-    /// a migrating stream keeps nothing to replay.
+    /// Per-stream credit windows, the only trunk behaviour.
     #[default]
-    Drop,
-    /// Each trunk stream gets a byte credit window (`relay::trunk_flow`):
-    /// a sender parks once it has used its credit and resumes when the
-    /// receiving gateway consumes bytes and returns credit, so a
-    /// gateway's memory per stream stays bounded by the window.
     Credit,
-}
-
-impl BackpressureMode {
-    /// Lowercase label used in reports ("drop" / "credit").
-    pub fn label(self) -> &'static str {
-        match self {
-            BackpressureMode::Drop => "drop",
-            BackpressureMode::Credit => "credit",
-        }
-    }
 }
 
 /// User-defined preferences consulted by the selector.
@@ -82,28 +67,23 @@ pub struct SelectorPreferences {
     /// decisions instead of warning: no plaintext ever leaves the site,
     /// at the price of cross-site connectivity through gateways.
     pub refuse_plaintext_relay: bool,
-    /// How relayed streams' gateway trunks resolve congestion: `Drop`
-    /// (no trunk flow control, the receiving gateway buffers what
-    /// arrives) or `Credit` (per-stream credit windows, senders park
-    /// instead of overrunning the gateway). Must be set
-    /// uniformly across a grid: the two ends of a gateway trunk have to
-    /// agree on windowing.
+    /// Always [`BackpressureMode::Credit`]; see [`BackpressureMode`] for
+    /// why the field still exists.
     pub relay_backpressure: BackpressureMode,
     /// Aggregate byte budget shared by *all* multiplexed streams of one
     /// gateway trunk, layered on the per-stream credit windows: the sum of
     /// unconsumed bytes in flight across the trunk never exceeds it, so
     /// one gateway pair's total store-and-forward memory is bounded — not
     /// just each stream's. `0` disables the shared budget (per-stream
-    /// windows only). Only effective with `relay_backpressure = Credit`,
-    /// which the budget rides on.
+    /// windows only).
     pub gateway_trunk_budget: usize,
     /// Gateway failover: relayed streams ride liveness-monitored trunks
     /// (heartbeats + dead-carrier detection) on *every* leg, a dead trunk
     /// marks its gateway down in the knowledge base, routes re-resolve
     /// through any surviving gateway of the site, and in-flight relayed
-    /// streams re-dial and resume automatically — in credit mode with
-    /// zero acknowledged bytes lost. Off by default: the seed behaviour
-    /// (manual `drop_trunks` recovery) is preserved exactly.
+    /// streams re-dial and resume automatically with zero acknowledged
+    /// bytes lost. Off by default: the seed behaviour (manual
+    /// `drop_trunks` recovery) is preserved exactly.
     pub gateway_failover: bool,
     /// Never use the SAN even when available (ablation / debugging knob).
     pub forbid_san: bool,
@@ -132,7 +112,7 @@ impl Default for SelectorPreferences {
             compression_on_slow_links: true,
             secure_inter_site: false,
             refuse_plaintext_relay: false,
-            relay_backpressure: BackpressureMode::Drop,
+            relay_backpressure: BackpressureMode::Credit,
             gateway_trunk_budget: 0,
             gateway_failover: false,
             forbid_san: false,
@@ -699,13 +679,6 @@ mod tests {
         )));
         assert_eq!(old_kb.route(a1, b1).unwrap().hop_count(), 3);
         assert_eq!(kb.route(a1, b1).unwrap().hop_count(), 1);
-    }
-
-    #[test]
-    fn backpressure_preference_defaults_to_drop() {
-        let prefs = SelectorPreferences::default();
-        assert_eq!(prefs.relay_backpressure, BackpressureMode::Drop);
-        assert!(!prefs.refuse_plaintext_relay);
     }
 
     #[test]

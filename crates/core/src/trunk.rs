@@ -20,15 +20,14 @@
 //!
 //! ## Credit-based flow control
 //!
-//! With a [`TrunkFlowConfig`] installed (the `relay_backpressure = credit`
-//! preference), every multiplexed stream carries its own byte-granular
-//! credit window: a sender may only put `send_window` bytes on the carrier;
-//! anything beyond *parks* in a sender-side [`SegBuf`] instead of flooding
-//! the receiving gateway. The consumer's reads return credits as `CREDIT`
-//! frames piggybacked on the same mux (batched by
-//! [`TrunkFlowConfig::credit_grant_threshold`] to keep control traffic
-//! cheap), which re-open the window and flush the parked bytes in order.
-//! The receive buffer of a flow-controlled stream is therefore bounded by
+//! Every multiplexed stream carries its own byte-granular credit window,
+//! sized by the trunk's [`TrunkFlowConfig`]: a sender may only put
+//! `send_window` bytes on the carrier; anything beyond *parks* in a
+//! sender-side [`SegBuf`] instead of flooding the receiving gateway. The
+//! consumer's reads return credits as `CREDIT` frames piggybacked on the
+//! same mux (batched by [`TrunkFlowConfig::credit_grant_threshold`] to keep
+//! control traffic cheap), which re-open the window and flush the parked
+//! bytes in order. The receive buffer of a stream is therefore bounded by
 //! `initial_window` — observable through [`SegBuf::high_water`] — and a
 //! stalled relayed stream holds its bytes at the *sending* gateway rather
 //! than ballooning the receiving one. Credits keep flowing across
@@ -122,9 +121,9 @@ impl Default for TrunkHealthConfig {
     }
 }
 
-/// Per-stream credit-window configuration of a flow-controlled trunk.
-/// Both ends of a trunk must agree on it (the runtime derives it from the
-/// same `relay_backpressure` preference on every node).
+/// Per-stream credit-window configuration of a trunk. Both ends of a
+/// trunk must agree on it (the runtime derives it from the same
+/// preferences on every node, see `relay::trunk_flow`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrunkFlowConfig {
     /// Bytes a sender may have in flight (unconsumed by the receiving
@@ -154,8 +153,7 @@ impl Default for TrunkFlowConfig {
     }
 }
 
-/// Credit accounting of one flow-controlled trunk stream (all zero when
-/// the trunk runs without flow control).
+/// Credit accounting of one trunk stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrunkCreditStats {
     /// Credit bytes received from the peer (window refills).
@@ -224,8 +222,7 @@ struct StreamState {
     close_sent: bool,
     close_after_flush: bool,
     bytes_sent: u64,
-    /// Flow control (None: unwindowed, the historical behaviour).
-    flow: Option<TrunkFlowConfig>,
+    flow: TrunkFlowConfig,
     send_window: usize,
     pending_tx: SegBuf,
     consumed_unreturned: usize,
@@ -238,7 +235,7 @@ struct StreamState {
 }
 
 impl StreamState {
-    fn new(id: u32, flow: Option<TrunkFlowConfig>) -> StreamState {
+    fn new(id: u32, flow: TrunkFlowConfig) -> StreamState {
         StreamState {
             id,
             recv_buf: SegBuf::new(),
@@ -249,7 +246,7 @@ impl StreamState {
             close_sent: false,
             close_after_flush: false,
             bytes_sent: 0,
-            send_window: flow.map_or(usize::MAX, |f| f.initial_window),
+            send_window: flow.initial_window,
             flow,
             pending_tx: SegBuf::new(),
             consumed_unreturned: 0,
@@ -260,6 +257,14 @@ impl StreamState {
             credits_granted: 0,
             bytes_consumed: 0,
         }
+    }
+
+    /// Takes the consumed-but-unreturned batch as a credit grant:
+    /// `(stream id, bytes)`, or `None` when nothing is owed.
+    fn take_grant(&mut self) -> Option<(u32, usize)> {
+        let granted = std::mem::take(&mut self.consumed_unreturned);
+        self.credits_granted += granted as u64;
+        (granted > 0).then_some((self.id, granted))
     }
 }
 
@@ -279,7 +284,7 @@ struct MuxInner {
     rx: SegBuf,
     streams: BTreeMap<u32, Rc<RefCell<StreamState>>>,
     next_id: u32,
-    flow: Option<TrunkFlowConfig>,
+    flow: TrunkFlowConfig,
     /// Shared send budget across every stream of this trunk, if bounded.
     budget: Option<BudgetState>,
     /// Streams with parked bytes, in the order they first parked: budget
@@ -368,9 +373,8 @@ impl WeakTrunkMux {
 
 impl TrunkMux {
     /// Wraps the connecting end of a trunk carrier. Streams are opened
-    /// locally with [`TrunkMux::open`]. Pass a [`TrunkFlowConfig`] to run
-    /// the trunk with credit-based flow control (both ends must agree).
-    pub fn connector(carrier: Rc<dyn ByteStream>, flow: Option<TrunkFlowConfig>) -> TrunkMux {
+    /// locally with [`TrunkMux::open`]. Both ends must agree on `flow`.
+    pub fn connector(carrier: Rc<dyn ByteStream>, flow: TrunkFlowConfig) -> TrunkMux {
         Self::new(carrier, flow, None)
     }
 
@@ -378,7 +382,7 @@ impl TrunkMux {
     /// every stream the remote end opens.
     pub fn acceptor(
         carrier: Rc<dyn ByteStream>,
-        flow: Option<TrunkFlowConfig>,
+        flow: TrunkFlowConfig,
         on_accept: impl FnMut(&mut SimWorld, TrunkStream) + 'static,
     ) -> TrunkMux {
         Self::new(carrier, flow, Some(Box::new(on_accept)))
@@ -386,24 +390,20 @@ impl TrunkMux {
 
     fn new(
         carrier: Rc<dyn ByteStream>,
-        flow: Option<TrunkFlowConfig>,
+        flow: TrunkFlowConfig,
         on_accept: Option<TrunkAcceptCallback>,
     ) -> TrunkMux {
-        if let Some(f) = flow {
-            assert!(
-                f.credit_grant_threshold <= f.initial_window && f.initial_window > 0,
-                "credit grant threshold must not exceed the window"
-            );
-            assert!(
-                f.trunk_budget == 0 || f.trunk_budget >= f.credit_grant_threshold,
-                "a trunk budget below the credit grant threshold can never be refilled"
-            );
-        }
-        let budget = flow.and_then(|f| {
-            (f.trunk_budget > 0).then_some(BudgetState {
-                cap: f.trunk_budget,
-                left: f.trunk_budget,
-            })
+        assert!(
+            flow.credit_grant_threshold <= flow.initial_window && flow.initial_window > 0,
+            "credit grant threshold must not exceed the window"
+        );
+        assert!(
+            flow.trunk_budget == 0 || flow.trunk_budget >= flow.credit_grant_threshold,
+            "a trunk budget below the credit grant threshold can never be refilled"
+        );
+        let budget = (flow.trunk_budget > 0).then_some(BudgetState {
+            cap: flow.trunk_budget,
+            left: flow.trunk_budget,
         });
         let mux = TrunkMux {
             inner: Rc::new(RefCell::new(MuxInner {
@@ -577,25 +577,21 @@ impl TrunkMux {
         // BTreeMap is keyed by stream id, so this is id order already.
         let states: Vec<_> = self.inner.borrow().streams.values().cloned().collect();
         for state in states {
-            let grant = {
-                let mut st = state.borrow_mut();
-                if st.flow.is_none() || st.consumed_unreturned == 0 {
-                    None
-                } else {
-                    let g = st.consumed_unreturned;
-                    st.consumed_unreturned = 0;
-                    st.credits_granted += g as u64;
-                    Some((st.id, g))
-                }
-            };
+            let grant = state.borrow_mut().take_grant();
             if let Some((id, granted)) = grant {
-                let mut left = granted;
-                while left > 0 {
-                    let part = left.min(u32::MAX as usize);
-                    self.send_frame(world, id, KIND_CREDIT, credit_payload(part));
-                    left -= part;
-                }
+                self.send_credit(world, id, granted);
             }
+        }
+    }
+
+    /// Returns `amount` credit bytes for stream `id` (0: the trunk-level
+    /// budget) in `u32`-sized `CREDIT` frames.
+    fn send_credit(&self, world: &mut SimWorld, id: u32, amount: usize) {
+        let mut left = amount;
+        while left > 0 {
+            let part = left.min(u32::MAX as usize);
+            self.send_frame(world, id, KIND_CREDIT, credit_payload(part));
+            left -= part;
         }
     }
 
@@ -607,14 +603,9 @@ impl TrunkMux {
         let inner = self.inner.borrow();
         inner.streams.values().any(|s| {
             let st = s.borrow();
-            match st.flow {
-                Some(f) => {
-                    !st.pending_tx.is_empty()
-                        || st.close_after_flush
-                        || st.send_window < f.initial_window
-                }
-                None => false,
-            }
+            !st.pending_tx.is_empty()
+                || st.close_after_flush
+                || st.send_window < st.flow.initial_window
         }) || inner.warmup_charge > 0
     }
 
@@ -630,7 +621,7 @@ impl TrunkMux {
         let inner = self.inner.borrow();
         inner.streams.values().any(|s| {
             let st = s.borrow();
-            st.flow.is_some() && (!st.pending_tx.is_empty() || st.close_after_flush)
+            !st.pending_tx.is_empty() || st.close_after_flush
         }) || inner.warmup_charge > 0
     }
 
@@ -992,18 +983,10 @@ impl TrunkMux {
                 continue;
             }
             if kind == KIND_WARMUP {
-                // Padding: its work was done on the wire. With flow
-                // control the sender charged its shared budget for these
-                // bytes; hand them back as mux-level credits.
-                let refund = self.inner.borrow().flow.is_some() && !payload.is_empty();
-                if refund {
-                    let mut left = payload.len();
-                    while left > 0 {
-                        let part = left.min(u32::MAX as usize);
-                        self.send_frame(world, 0, KIND_CREDIT, credit_payload(part));
-                        left -= part;
-                    }
-                }
+                // Padding: its work was done on the wire. The sender
+                // charged its shared budget for these bytes; hand them
+                // back as mux-level credits.
+                self.send_credit(world, 0, payload.len());
                 continue;
             }
             if kind == KIND_CREDIT {
@@ -1270,29 +1253,26 @@ impl TrunkStream {
                 return len;
             }
             let mut head = data;
-            if st.flow.is_some() {
-                // The window and the shared trunk budget both gate what
-                // goes on the carrier; the stricter one wins and the
-                // excess parks.
-                let allowance = {
-                    let inner = self.mux.inner.borrow();
-                    inner
-                        .budget
-                        .map_or(st.send_window, |b| st.send_window.min(b.left))
-                };
-                if head.len() > allowance {
-                    let tail = head.split_off(allowance);
-                    st.pending_tx.push_bytes(tail);
-                    self.mux.register_parked(st.id);
-                    if st.stall_started.is_none() {
-                        st.stall_started = Some(world.now());
-                        stalled_hook = st.stall_hook.clone();
-                    }
+            // The window and the shared trunk budget both gate what goes
+            // on the carrier; the stricter one wins and the excess parks.
+            let allowance = {
+                let inner = self.mux.inner.borrow();
+                inner
+                    .budget
+                    .map_or(st.send_window, |b| st.send_window.min(b.left))
+            };
+            if head.len() > allowance {
+                let tail = head.split_off(allowance);
+                st.pending_tx.push_bytes(tail);
+                self.mux.register_parked(st.id);
+                if st.stall_started.is_none() {
+                    st.stall_started = Some(world.now());
+                    stalled_hook = st.stall_hook.clone();
                 }
-                st.send_window -= head.len();
-                if let Some(b) = self.mux.inner.borrow_mut().budget.as_mut() {
-                    b.left -= head.len();
-                }
+            }
+            st.send_window -= head.len();
+            if let Some(b) = self.mux.inner.borrow_mut().budget.as_mut() {
+                b.left -= head.len();
             }
             (st.id, split_frames(head))
         };
@@ -1377,7 +1357,6 @@ impl TrunkStream {
         let grant = {
             let mut st = self.state.borrow_mut();
             st.bytes_consumed += n as u64;
-            let Some(flow) = st.flow else { return };
             st.consumed_unreturned += n;
             // A stream whose peer closed and whose buffer just drained
             // returns its final sub-threshold batch immediately: with a
@@ -1392,26 +1371,18 @@ impl TrunkStream {
             // instead of once per threshold batch — any fixed batching
             // floor would re-open the starvation for enough streams.)
             let stream_done = st.peer_closed && st.recv_buf.is_empty();
-            let budget_drain = flow.trunk_budget != 0 && st.recv_buf.is_empty();
-            if st.consumed_unreturned >= flow.credit_grant_threshold || stream_done || budget_drain
+            let budget_drain = st.flow.trunk_budget != 0 && st.recv_buf.is_empty();
+            if st.consumed_unreturned >= st.flow.credit_grant_threshold
+                || stream_done
+                || budget_drain
             {
-                let g = st.consumed_unreturned;
-                st.consumed_unreturned = 0;
-                st.credits_granted += g as u64;
-                Some((st.id, g))
+                st.take_grant()
             } else {
                 None
             }
         };
         if let Some((id, granted)) = grant {
-            // Large consumes may exceed u32: return in frame-sized slices.
-            let mut left = granted;
-            while left > 0 {
-                let part = left.min(u32::MAX as usize);
-                self.mux
-                    .send_frame(world, id, KIND_CREDIT, credit_payload(part));
-                left -= part;
-            }
+            self.mux.send_credit(world, id, granted);
         }
     }
 
@@ -1421,27 +1392,14 @@ impl TrunkStream {
     fn flush_final_credits(&self, world: &mut SimWorld) {
         let grant = {
             let mut st = self.state.borrow_mut();
-            if st.flow.is_none()
-                || !st.peer_closed
-                || !st.recv_buf.is_empty()
-                || st.consumed_unreturned == 0
-            {
-                None
+            if st.peer_closed && st.recv_buf.is_empty() {
+                st.take_grant()
             } else {
-                let g = st.consumed_unreturned;
-                st.consumed_unreturned = 0;
-                st.credits_granted += g as u64;
-                Some((st.id, g))
+                None
             }
         };
         if let Some((id, granted)) = grant {
-            let mut left = granted;
-            while left > 0 {
-                let part = left.min(u32::MAX as usize);
-                self.mux
-                    .send_frame(world, id, KIND_CREDIT, credit_payload(part));
-                left -= part;
-            }
+            self.mux.send_credit(world, id, granted);
         }
     }
 
@@ -1584,7 +1542,7 @@ mod tests {
     /// alive for the carrier callback's weak reference to resolve.
     fn mux_pair_flow(
         world: &SimWorld,
-        flow: Option<TrunkFlowConfig>,
+        flow: TrunkFlowConfig,
     ) -> (TrunkMux, TrunkMux, Rc<RefCell<Vec<TrunkStream>>>) {
         let n = world.node_ids()[0];
         let (a, b) = loopback_pair(world, n);
@@ -1598,7 +1556,7 @@ mod tests {
     }
 
     fn mux_pair(world: &SimWorld) -> (TrunkMux, TrunkMux, Rc<RefCell<Vec<TrunkStream>>>) {
-        mux_pair_flow(world, None)
+        mux_pair_flow(world, TrunkFlowConfig::default())
     }
 
     #[test]
@@ -1690,7 +1648,7 @@ mod tests {
     fn window_parks_excess_and_credits_release_it() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, _acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, _acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let s = mux.open();
         let data: Vec<u8> = (0..20_000usize).map(|i| (i % 241) as u8).collect();
         assert_eq!(s.send(&mut world, &data), data.len(), "send accepts all");
@@ -1729,7 +1687,7 @@ mod tests {
     fn close_is_deferred_until_parked_bytes_flush() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, _acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, _acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let s = mux.open();
         let data: Vec<u8> = (0..10_000usize).map(|i| (i % 239) as u8).collect();
         s.send_all(&mut world, &data);
@@ -1757,7 +1715,7 @@ mod tests {
     fn credits_keep_flowing_across_half_close() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, _acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, _acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let s = mux.open();
         s.send_all(&mut world, &[1u8; 6 * 1024]);
         world.run();
@@ -1795,7 +1753,7 @@ mod tests {
         };
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, accepted) = mux_pair_flow(&world, Some(flow));
+        let (mux, acceptor, accepted) = mux_pair_flow(&world, flow);
         let streams: Vec<TrunkStream> = (0..4).map(|_| mux.open()).collect();
         let data: Vec<Vec<u8>> = (0..4)
             .map(|s| (0..5_000usize).map(|i| (i + s * 31) as u8).collect())
@@ -1861,7 +1819,7 @@ mod tests {
         };
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, _acceptor, accepted) = mux_pair_flow(&world, Some(flow));
+        let (mux, _acceptor, accepted) = mux_pair_flow(&world, flow);
         let streams: Vec<TrunkStream> = (0..3).map(|_| mux.open()).collect();
         for (i, s) in streams.iter().enumerate() {
             // 2000 bytes: below the 2048 grant threshold.
@@ -1905,7 +1863,7 @@ mod tests {
         };
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, _acceptor, accepted) = mux_pair_flow(&world, Some(flow));
+        let (mux, _acceptor, accepted) = mux_pair_flow(&world, flow);
         for round in 0..8 {
             let s = mux.open();
             // 1.5 KiB: above the grant threshold only once, leaving a
@@ -1932,7 +1890,7 @@ mod tests {
     fn muted_peer_is_declared_dead_by_liveness_timeout() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, _accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, _accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let health = TrunkHealthConfig::default();
         mux.enable_health(&mut world, health);
         let died_at: Rc<RefCell<Option<simnet::SimTime>>> = Rc::new(RefCell::new(None));
@@ -1974,7 +1932,7 @@ mod tests {
     fn healthy_idle_trunk_never_false_positives_and_world_drains() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         mux.enable_health(&mut world, TrunkHealthConfig::default());
         acceptor.enable_health(&mut world, TrunkHealthConfig::default());
         let s = mux.open();
@@ -2001,7 +1959,7 @@ mod tests {
         // the start of the new expectation epoch instead.
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let health = TrunkHealthConfig::default();
         mux.enable_health(&mut world, health);
         acceptor.enable_health(&mut world, health);
@@ -2056,7 +2014,7 @@ mod tests {
         // that a corpse cannot answer.
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, _accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, _accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let health = TrunkHealthConfig::default();
         mux.enable_health(&mut world, health);
         acceptor.enable_health(&mut world, health);
@@ -2115,7 +2073,7 @@ mod tests {
         // probe/heartbeat ping-pong keeping the event queue alive).
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         mux.enable_health(&mut world, TrunkHealthConfig::default());
         acceptor.enable_health(&mut world, TrunkHealthConfig::default());
         let s = mux.open();
@@ -2149,7 +2107,7 @@ mod tests {
     fn orderly_close_is_declared_dead_immediately() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, _accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, _accepted) = mux_pair_flow(&world, SMALL_FLOW);
         mux.enable_health(&mut world, TrunkHealthConfig::default());
         let dead_hook = Rc::new(Cell::new(false));
         let d = dead_hook.clone();
@@ -2170,7 +2128,7 @@ mod tests {
         };
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, _acceptor, _accepted) = mux_pair_flow(&world, Some(flow));
+        let (mux, _acceptor, _accepted) = mux_pair_flow(&world, flow);
         mux.warm_up(&mut world, 200 * 1024);
         // The padding charged the budget the moment it left.
         assert_eq!(mux.memory_stats().budget_available, 0);
@@ -2195,7 +2153,7 @@ mod tests {
         };
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, _accepted) = mux_pair_flow(&world, Some(flow));
+        let (mux, acceptor, _accepted) = mux_pair_flow(&world, flow);
         // The far end dies silently before the warm-up is answered.
         acceptor.mute();
         mux.warm_up(&mut world, 200 * 1024);
@@ -2215,7 +2173,7 @@ mod tests {
     fn killed_carrier_ends_streams_and_accounts_lost_bytes() {
         let mut world = SimWorld::new(0);
         world.add_node("n");
-        let (mux, acceptor, accepted) = mux_pair_flow(&world, Some(SMALL_FLOW));
+        let (mux, acceptor, accepted) = mux_pair_flow(&world, SMALL_FLOW);
         let s = mux.open();
         s.send_all(&mut world, b"delivered before the kill");
         world.run();

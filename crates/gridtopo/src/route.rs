@@ -433,25 +433,6 @@ impl RouteTable {
         table
     }
 
-    /// Inserts the route `src -> dst` whose first step is `hop`, with the
-    /// given additive path cost.
-    ///
-    /// This is the escape hatch for worlds whose routes are known by
-    /// construction (a star segment bridged by one gateway, a fixed
-    /// chain): callers insert exactly the pairs their traffic resolves and
-    /// skip the all-pairs Dijkstra, whose clique expansion is quadratic in
-    /// segment width *per source*. The caller owns the chaining invariant
-    /// that [`RouteTable::route`] relies on: if `hop.node != dst`, an
-    /// entry for `(hop.node, dst)` must also be inserted, and the chain
-    /// must terminate at `dst`. Costs should follow [`link_cost`] sums so
-    /// a hand-built table stays bit-compatible with a computed one on the
-    /// pairs it covers.
-    pub fn insert(&mut self, src: NodeId, dst: NodeId, hop: Hop, cost: u64) {
-        debug_assert_ne!(src, dst, "self-routes are implicit, never stored");
-        self.next.insert((src, dst), hop);
-        self.cost.insert((src, dst), cost);
-    }
-
     /// The next hop from `src` towards `dst`, if a route exists.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<Hop> {
         if src == dst {
@@ -807,74 +788,6 @@ mod tests {
         assert_eq!(t1, t2);
         let (w2, _, _) = chain_world();
         assert_eq!(t1, RouteTable::compute(&w2));
-    }
-
-    /// A hand-inserted table must agree with the Dijkstra oracle —
-    /// next hops, walked routes, costs, and `PathInfo` — on every pair it
-    /// covers, so bypassing `compute` never changes relay behaviour.
-    #[test]
-    fn manual_insertion_matches_computed_oracle_on_covered_pairs() {
-        // One gateway bridging two Ethernet segments.
-        let mut w = SimWorld::new(3);
-        let gw = w.add_node("gw");
-        let near = w.add_network(NetworkSpec::ethernet_100());
-        let far = w.add_network(NetworkSpec::ethernet_100());
-        w.attach(gw, near);
-        w.attach(gw, far);
-        let a: Vec<NodeId> = (0..4)
-            .map(|i| {
-                let n = w.add_node(&format!("a{i}"));
-                w.attach(n, near);
-                n
-            })
-            .collect();
-        let b: Vec<NodeId> = (0..4)
-            .map(|i| {
-                let n = w.add_node(&format!("b{i}"));
-                w.attach(n, far);
-                n
-            })
-            .collect();
-
-        let oracle = RouteTable::compute(&w);
-        let mut manual = RouteTable::default();
-        let (near_cost, far_cost) = (link_cost(&w, near), link_cost(&w, far));
-        for i in 0..4 {
-            manual.insert(
-                a[i],
-                b[i],
-                Hop {
-                    network: near,
-                    node: gw,
-                },
-                near_cost + far_cost,
-            );
-            manual.insert(
-                gw,
-                b[i],
-                Hop {
-                    network: far,
-                    node: b[i],
-                },
-                far_cost,
-            );
-        }
-
-        for i in 0..4 {
-            for (src, dst) in [(a[i], b[i]), (gw, b[i])] {
-                assert!(manual.reachable(src, dst));
-                assert_eq!(manual.next_hop(src, dst), oracle.next_hop(src, dst));
-                assert_eq!(manual.route(src, dst), oracle.route(src, dst));
-                assert_eq!(manual.cost(src, dst), oracle.cost(src, dst));
-                assert_eq!(
-                    manual.path_info(&w, src, dst),
-                    oracle.path_info(&w, src, dst)
-                );
-            }
-        }
-        // Pairs never inserted stay honestly unreachable.
-        assert!(!manual.reachable(a[0], a[1]));
-        assert!(manual.next_hop(b[0], a[0]).is_none());
     }
 
     /// The shared-adjacency implementation must produce tables bit-for-bit

@@ -8,7 +8,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use padicotm::core::{BackpressureMode, VLinkEvent};
+use padicotm::core::VLinkEvent;
 use padicotm::prelude::*;
 use padicotm::simnet::{CauseId, TraceEvent};
 
@@ -30,7 +30,6 @@ fn main() {
         NetworkSpec::vthd_wan(),
     );
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };

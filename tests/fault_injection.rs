@@ -3,30 +3,22 @@
 //! for bit — kill a trunk carrier mid-stream, kill a gateway under
 //! failover, squeeze an incast through a trunk budget — asserting no data
 //! corruption, no deadlock (the world always drains and streams report
-//! their end), and exact delivery in both backpressure modes.
+//! their end), and exact delivery through credit-windowed trunks.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use padicotm::core::BackpressureMode;
 use padicotm::core::VLinkEvent;
 use padicotm::prelude::*;
-
-fn grid_prefs(mode: BackpressureMode) -> SelectorPreferences {
-    SelectorPreferences {
-        relay_backpressure: mode,
-        ..Default::default()
-    }
-}
 
 /// Relayed VLink transfer whose gateway trunk is severed mid-stream: the
 /// delivered bytes must be an uncorrupted prefix, the simulation must
 /// drain (no deadlock), both endpoints must observe the end of stream,
 /// and a fresh relayed connection must re-establish a working trunk.
-fn trunk_kill_scenario(mode: BackpressureMode) {
+fn trunk_kill_scenario() {
     let mut world = SimWorld::new(0xDEAD);
     let grid = GridTopology::two_sites(&mut world, 3);
-    let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, grid_prefs(mode));
+    let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
     let gw_a_rt = rts[0].clone();
     assert_eq!(gw_a_rt.node(), grid.site(0).gateway);
     let src_rt = rts[1].clone();
@@ -72,17 +64,13 @@ fn trunk_kill_scenario(mode: BackpressureMode) {
     // never silently re-materialized: the delivered prefix above is all
     // the receiver ever gets.
     assert!(finished.get(), "the receiver must see the stream end");
-    if mode == BackpressureMode::Credit {
-        // With credit windows, most of the payload is still parked at the
-        // sending gateway when the carrier dies — it must be lost, not
-        // re-materialized out of nowhere. (In drop mode the whole payload
-        // may already sit in the carrier's reliable send queues, which an
-        // orderly close still drains.)
-        assert!(
-            got.len() < payload.len(),
-            "the kill must cut a windowed transfer short"
-        );
-    }
+    // With credit windows, most of the payload is still parked at the
+    // sending gateway when the carrier dies — it must be lost, not
+    // re-materialized out of nowhere.
+    assert!(
+        got.len() < payload.len(),
+        "the kill must cut a windowed transfer short"
+    );
     let _ = client;
 
     // Recovery: a new relayed connection re-establishes a fresh trunk and
@@ -109,13 +97,8 @@ fn trunk_kill_scenario(mode: BackpressureMode) {
 }
 
 #[test]
-fn trunk_carrier_killed_mid_stream_drop_mode() {
-    trunk_kill_scenario(BackpressureMode::Drop);
-}
-
-#[test]
 fn trunk_carrier_killed_mid_stream_credit_mode() {
-    trunk_kill_scenario(BackpressureMode::Credit);
+    trunk_kill_scenario();
 }
 
 #[test]
@@ -123,8 +106,7 @@ fn trunk_kill_is_deterministic() {
     let run = || {
         let mut world = SimWorld::new(7);
         let grid = GridTopology::two_sites(&mut world, 2);
-        let (rts, _proxies) =
-            runtimes_for_grid(&mut world, &grid, grid_prefs(BackpressureMode::Credit));
+        let (rts, _proxies) = runtimes_for_grid(&mut world, &grid, SelectorPreferences::default());
         let dst_rt = rts[3].clone();
         let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
@@ -165,7 +147,6 @@ fn trunk_budget_bounds_gateway_memory_under_incast() {
     let mut world = SimWorld::new(0xB0D6E7);
     let grid = GridTopology::two_sites(&mut world, SENDERS + 1);
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_trunk_budget: BUDGET,
         ..Default::default()
     };
@@ -300,7 +281,6 @@ fn gateway_kill_failover(kill_site: usize, kill_rank: usize, expect_migration: b
         NetworkSpec::vthd_wan(),
     );
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };
@@ -388,7 +368,6 @@ fn drop_trunks_under_failover_does_not_poison_healthy_gateways() {
     let mut world = SimWorld::new(0xD201);
     let grid = GridTopology::two_sites(&mut world, 3);
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };
@@ -437,7 +416,6 @@ fn gateway_failover_is_deterministic() {
             NetworkSpec::vthd_wan(),
         );
         let prefs = SelectorPreferences {
-            relay_backpressure: BackpressureMode::Credit,
             gateway_failover: true,
             ..Default::default()
         };

@@ -19,7 +19,6 @@ use padico_bench::{
     churn_snapshot, churn_sweep, failover_metrics, failover_snapshot, failover_sweep,
     incast_snapshot, incast_sweep, multi_site_json, multi_site_sweep,
 };
-use padicotm::core::BackpressureMode;
 use padicotm::simnet::{conservation_violations, MetricsSnapshot};
 
 /// Checks conservation on `snap`, then compares its JSON with the golden.
@@ -30,18 +29,10 @@ fn check_snapshot(name: &str, snap: &MetricsSnapshot) {
 }
 
 #[test]
-fn incast_drop() {
-    check_snapshot(
-        "incast_drop.json",
-        &incast_snapshot(4, INCAST_STREAM_BYTES, BackpressureMode::Drop, 4242),
-    );
-}
-
-#[test]
 fn incast_credit() {
     check_snapshot(
         "incast_credit.json",
-        &incast_snapshot(4, INCAST_STREAM_BYTES, BackpressureMode::Credit, 4242),
+        &incast_snapshot(4, INCAST_STREAM_BYTES, 4242),
     );
 }
 

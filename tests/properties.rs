@@ -193,10 +193,10 @@ fn trunk_credits_match_consumption_across_half_close() {
         let _ = node;
         let n = world.node_ids()[0];
         let (a, b) = loopback_pair(&world, n);
-        let connector = TrunkMux::connector(Rc::new(a), Some(flow));
+        let connector = TrunkMux::connector(Rc::new(a), flow);
         let accepted: Rc<RefCell<Vec<TrunkStream>>> = Rc::new(RefCell::new(Vec::new()));
         let acc = accepted.clone();
-        let _acceptor = TrunkMux::acceptor(Rc::new(b), Some(flow), move |_w, s| {
+        let _acceptor = TrunkMux::acceptor(Rc::new(b), flow, move |_w, s| {
             acc.borrow_mut().push(s);
         });
         let tx = connector.open();

@@ -2,7 +2,7 @@
 //! every `SelectorPreferences` combination, for both paradigms (VLink and
 //! Circuit), against an explicitly-written expectation table.
 
-use padicotm::core::{BackpressureMode, LinkDecision, SelectorPreferences, TopologyKb};
+use padicotm::core::{LinkDecision, SelectorPreferences, TopologyKb};
 use padicotm::simnet::{topology, NetworkClass, NetworkSpec};
 
 /// The network spec used to exercise each class.
@@ -16,8 +16,8 @@ fn spec_for(class: NetworkClass) -> NetworkSpec {
     }
 }
 
-/// Every combination of the boolean preference knobs and both relay
-/// backpressure modes. (`refuse_plaintext_relay` stays off: the strict
+/// Every combination of the boolean preference knobs.
+/// (`refuse_plaintext_relay` stays off: the strict
 /// refusal is covered by its own `#[should_panic]` test in the selector;
 /// here every combination must still *resolve*.)
 fn all_preferences() -> Vec<SelectorPreferences> {
@@ -26,20 +26,18 @@ fn all_preferences() -> Vec<SelectorPreferences> {
         for compression in [false, true] {
             for secure in [false, true] {
                 for forbid_san in [false, true] {
-                    for backpressure in [BackpressureMode::Drop, BackpressureMode::Credit] {
-                        out.push(SelectorPreferences {
-                            parallel_streams_on_wan: parallel,
-                            parallel_stream_width: 4,
-                            gateway_trunk_width: 8,
-                            compression_on_slow_links: compression,
-                            secure_inter_site: secure,
-                            refuse_plaintext_relay: false,
-                            relay_backpressure: backpressure,
-                            gateway_trunk_budget: 0,
-                            gateway_failover: false,
-                            forbid_san,
-                        });
-                    }
+                    out.push(SelectorPreferences {
+                        parallel_streams_on_wan: parallel,
+                        parallel_stream_width: 4,
+                        gateway_trunk_width: 8,
+                        compression_on_slow_links: compression,
+                        secure_inter_site: secure,
+                        refuse_plaintext_relay: false,
+                        gateway_trunk_budget: 0,
+                        gateway_failover: false,
+                        forbid_san,
+                        ..Default::default()
+                    });
                 }
             }
         }

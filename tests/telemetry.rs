@@ -8,7 +8,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use padicotm::core::{BackpressureMode, VLinkEvent};
+use padicotm::core::VLinkEvent;
 use padicotm::prelude::*;
 use padicotm::simnet::{conservation_violations, CauseId, MetricsSnapshot, TraceEvent};
 
@@ -30,8 +30,7 @@ struct Observed {
     accepted: u64,
 }
 
-/// A two-site grid with two gateways per site, credit backpressure and
-/// gateway failover: [`STREAMS`] relayed VLinks carry [`PAYLOAD`] bytes
+/// A two-site grid with two gateways per site and gateway failover: [`STREAMS`] relayed VLinks carry [`PAYLOAD`] bytes
 /// each to one receiver, which greets every connection it accepts. With
 /// `kill`, the receiving site's primary gateway dies once 60 kB have
 /// arrived, and the backbone legs migrate to its secondary. Returns the
@@ -50,7 +49,6 @@ fn relay_scenario(seed: u64, kill: bool, trace: bool) -> (SimWorld, Observed) {
         NetworkSpec::vthd_wan(),
     );
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };
@@ -231,7 +229,6 @@ fn failover_leaves_a_balanced_snapshot_and_a_forensic_timeline() {
         NetworkSpec::vthd_wan(),
     );
     let prefs = SelectorPreferences {
-        relay_backpressure: BackpressureMode::Credit,
         gateway_failover: true,
         ..Default::default()
     };
